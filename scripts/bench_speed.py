@@ -20,12 +20,6 @@ writing the speedups to ``BENCH_codegen.json`` and failing if the
 deserialization speedup drops below 2x (the shipped-default tier must
 stay decisively faster).
 
-``--batch`` switches to the vectorized-batch-tier benchmark: whole-batch
-wall-clock of the numpy batch kernels vs the interpretive FSM on the
-regular micro grid (the batch-eligible Figure 11 cases), writing the
-speedups to ``BENCH_batch.json`` and enforcing the geomean acceptance
-floors (>=10x deserialize, >=4x serialize; warnings only on --smoke).
-
 ``--fleet`` switches to the sharded-fabric fleet sweep: the seeded
 fleet replay (Section 3 message-size and schema-mix distributions, plus
 the echo acceptance workload) through 1, 2, and 4 fabric shards at each
@@ -55,9 +49,7 @@ PCIe per-op transport cost must fall monotonically with batch size.
 the committed baseline (``BENCH_harness.json`` by default) and fails on
 a >15% regression, provided the baseline was recorded with the same
 smoke/jobs settings (otherwise the check is skipped with a warning).
-Combined with ``--batch`` it instead gates the per-operation geomean
-speedups against the committed ``BENCH_batch.json``; combined with
-``--fleet`` it gates the echo p99/throughput curves against the
+Combined with ``--fleet`` it gates the echo p99/throughput curves against the
 committed ``BENCH_fleet.json`` and requires the scaling replay's
 charging digest to be byte-identical to the committed serial baseline
 (whatever ``--jobs`` either run used); combined with ``--transport`` it
@@ -73,7 +65,6 @@ Usage::
     python scripts/bench_speed.py --jobs 4
     python scripts/bench_speed.py --serve --fault-rate 0.01
     python scripts/bench_speed.py --codegen
-    python scripts/bench_speed.py --batch
     python scripts/bench_speed.py --fleet
     python scripts/bench_speed.py --transport
     python scripts/bench_speed.py --check-regression
@@ -812,109 +803,6 @@ def run_codegen_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_batch_bench(args: argparse.Namespace) -> int:
-    """The --batch mode: vectorized-batch-tier benchmark over the
-    regular micro grid -> BENCH_batch.json.
-
-    Times whole-batch driver calls on the interp and batch tiers,
-    enforces the acceptance floors (geomean >=10x deserialize, >=4x
-    serialize -- warnings only on --smoke), and with --check-regression
-    gates the per-operation geomean speedups against the committed
-    baseline.
-    """
-    from repro.bench.microbench import time_batch_microbench
-    from repro.bench.report import batch_speedup_table, geomean
-    from repro.proto import batchwire
-
-    if not batchwire.numpy_available():
-        print("WARNING: numpy unavailable; the batch tier cannot "
-              "vectorize -- skipping the batch benchmark")
-        return 0
-    micro_batch = 8 if args.smoke else 64
-    repeat = 2 if args.smoke else 3
-    print(f"batch bench: regular micro grid, batch {micro_batch}, "
-          f"best of {repeat}")
-    rows = time_batch_microbench(batch=micro_batch, repeat=repeat)
-    print(batch_speedup_table(rows))
-
-    speedups = {
-        operation: geomean(row["speedup"] for row in rows
-                           if row["operation"] == operation)
-        for operation in ("deserialize", "serialize")
-    }
-    output = args.output
-    if output == REPO / "BENCH_harness.json":
-        output = REPO / "BENCH_batch.json"
-    payload = {
-        "smoke": args.smoke,
-        "micro_batch": micro_batch,
-        "repeat": repeat,
-        "deserialize_speedup": speedups["deserialize"],
-        "serialize_speedup": speedups["serialize"],
-        "rows": rows,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n",
-                      encoding="utf-8")
-    print(f"geomean: deserialize {speedups['deserialize']:.2f}x, "
-          f"serialize {speedups['serialize']:.2f}x -> {output}")
-
-    status = 0
-    for operation, floor in (("deserialize", 10.0), ("serialize", 4.0)):
-        if speedups[operation] < floor:
-            message = (f"batch {operation} speedup "
-                       f"{speedups[operation]:.2f}x below the "
-                       f"{floor:.0f}x acceptance floor")
-            if args.smoke:
-                # Smoke batches are noise-dominated on busy CI runners;
-                # the committed full-size baseline enforces the floor.
-                print(f"WARNING: {message} (smoke run, not failing)")
-            else:
-                print(f"ERROR: {message}")
-                status = 1
-    if args.check_regression:
-        baseline_path = args.baseline
-        if baseline_path == REPO / "BENCH_harness.json":
-            baseline_path = REPO / "BENCH_batch.json"
-        status = max(status,
-                     _check_batch_regression(args, baseline_path, speedups))
-    return status
-
-
-def _check_batch_regression(args: argparse.Namespace, baseline_path: Path,
-                            speedups: dict) -> int:
-    """Fail when a geomean speedup drops >threshold below the baseline."""
-    try:
-        baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        print(f"WARNING: batch baseline {baseline_path} missing or "
-              "unreadable; skipping regression check")
-        return 0
-    if baseline.get("smoke") != args.smoke:
-        print(f"WARNING: baseline recorded with smoke="
-              f"{baseline.get('smoke')} but this run used "
-              f"smoke={args.smoke}; skipping regression check")
-        return 0
-    status = 0
-    for operation in ("deserialize", "serialize"):
-        base = baseline.get(f"{operation}_speedup")
-        if not isinstance(base, (int, float)) or base <= 0:
-            print(f"WARNING: baseline has no usable {operation}_speedup; "
-                  "skipping")
-            continue
-        floor = base * (1.0 - args.regression_threshold)
-        if speedups[operation] < floor:
-            print(f"ERROR: batch {operation} speedup "
-                  f"{speedups[operation]:.2f}x regressed more than "
-                  f"{args.regression_threshold:.0%} below the baseline "
-                  f"{base:.2f}x")
-            status = 1
-        else:
-            print(f"regression check: {operation} {speedups[operation]:.2f}x "
-                  f"within {args.regression_threshold:.0%} of baseline "
-                  f"{base:.2f}x")
-    return status
-
-
 def check_regression(args: argparse.Namespace, cached_seconds: float,
                      baseline: dict | None) -> int:
     """Fail on a >threshold wall-clock regression vs the committed run."""
@@ -965,10 +853,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--codegen", action="store_true",
                         help="run the codegen-vs-interpreter tier benchmark "
                              "instead (writes BENCH_codegen.json)")
-    parser.add_argument("--batch", action="store_true",
-                        help="run the vectorized-batch-tier benchmark on "
-                             "the regular micro grid instead (writes "
-                             "BENCH_batch.json)")
     parser.add_argument("--fleet", action="store_true",
                         help="run the sharded-fabric fleet sweep instead "
                              "(writes BENCH_fleet.json)")
@@ -999,8 +883,6 @@ def main(argv: list[str]) -> int:
         return run_transport_bench(args)
     if args.codegen:
         return run_codegen_bench(args)
-    if args.batch:
-        return run_batch_bench(args)
 
     baseline = None
     if args.check_regression:

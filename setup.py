@@ -1,6 +1,5 @@
 from setuptools import setup
 
-# All metadata lives in pyproject.toml, including the optional numpy
-# dependency for the vectorized batch tier (`pip install repro[batch]`);
-# setuptools rejects duplicating [project] fields here.
+# All metadata lives in pyproject.toml; setuptools rejects duplicating
+# [project] fields here.
 setup()

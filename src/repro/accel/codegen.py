@@ -132,22 +132,8 @@ class KernelCodeCache:
 
 CODE_CACHE = KernelCodeCache()
 
-_ENABLED = True
 #: Bumped on every invalidation; bindings recompile when it moves.
 _GENERATION = 0
-
-
-def codegen_enabled() -> bool:
-    return _ENABLED
-
-
-def set_codegen_enabled(enabled: bool) -> None:
-    """Gate kernel use process-wide (the interpreter always works)."""
-    global _ENABLED, _GENERATION
-    _ENABLED = bool(enabled)
-    _GENERATION += 1
-    if not enabled:
-        CODE_CACHE.clear()
 
 
 def invalidate_kernel_caches() -> None:
@@ -1089,8 +1075,6 @@ class KernelBinding:
         self._kernels: dict[int, tuple[int, Optional[Callable]]] = {}
 
     def kernel_for(self, adt_addr: int) -> Optional[Callable]:
-        if not _ENABLED:
-            return None
         cached = self._kernels.get(adt_addr)
         if cached is not None and cached[0] == _GENERATION:
             return cached[1]

@@ -189,12 +189,8 @@ class DeserializerUnit:
         #: Optional per-operation cycle-budget watchdog (an object with
         #: ``budget_cycles`` and ``aborts``; see repro.serve.watchdog).
         self.watchdog = None
-        #: "codegen" | "batch" | "interp": whether to use
-        #: schema-specialized kernels when a binding is installed
-        #: (repro.accel.codegen; "batch" additionally lets the driver's
-        #: BatchEngine vectorize whole batches, repro.accel.batchgen).
-        self.fast_path = "codegen"
-        #: KernelBinding installed by the driver; None runs interpreted.
+        #: KernelBinding installed by the driver (repro.accel.codegen);
+        #: None runs interpreted.
         self.codegen = None
 
     # -- RoCC-visible operations ------------------------------------------------
@@ -227,13 +223,11 @@ class DeserializerUnit:
         if self._arena is None:
             raise RuntimeError(
                 "no accelerator arena assigned; issue deser_assign_arena")
-        if (self.codegen is not None and self.faults is None
-                and self.fast_path in ("codegen", "batch")):
+        if self.codegen is not None and self.faults is None:
             # Specialized straight-line kernel: bit-identical cycles and
             # errors, host wall-clock only.  With faults attached the
             # interpretive FSM below runs instead so every named fault
-            # site still fires.  The "batch" tier shares this scalar
-            # path for its anchors and per-message fallbacks.
+            # site still fires.
             kernel = self.codegen.kernel_for(adt_addr)
             if kernel is not None:
                 tiers.note("deser", "codegen")

@@ -211,26 +211,15 @@ class ProtoAccelerator:
         # modeled cycles, much less host work.  With a fault plan armed
         # the bindings are never installed -- every operation runs the
         # interpretive FSMs so all named fault sites still fire.
-        if fast_path not in ("codegen", "batch", "interp"):
+        if fast_path not in ("codegen", "interp"):
             raise ValueError(f"unknown fast_path {fast_path!r}; "
-                             "expected 'codegen', 'batch', or 'interp'")
-        self.fast_path = fast_path
-        self.deserializer.fast_path = fast_path
-        self.serializer.fast_path = fast_path
-        if fast_path in ("codegen", "batch") and self.faults is None:
+                             "expected 'codegen' or 'interp'")
+        if fast_path == "codegen" and self.faults is None:
             from repro.accel import codegen
             self.deserializer.codegen = codegen.bind_deserializer(
                 self.deserializer, self.adts.descriptor_for)
             self.serializer.codegen = codegen.bind_serializer(
                 self.serializer, self.adts.descriptor_for)
-        # Vectorized batch engine (repro.accel.batchgen): whole-batch
-        # numpy execution over the *_batch entry points, with the same
-        # scalar kernels as the anchor/fallback path.  Same armed-fault
-        # bypass as the codegen bindings.
-        self.batch = None
-        if fast_path == "batch" and self.faults is None:
-            from repro.accel import batchgen
-            self.batch = batchgen.BatchEngine(self)
 
     def _assign_arenas(self) -> None:
         self.transport.issue(RoccInstruction(
@@ -544,22 +533,16 @@ class ProtoAccelerator:
         transport = self.transport
         transport.begin_batch()
         try:
-            addresses = total = None
-            if self.batch is not None:
-                attempt = self.batch.deserialize_batch(descriptor, buffers)
-                if attempt is not None:
-                    addresses, total = attempt
-            if total is None:
-                total = DeserStats()
-                addresses = []
-                for data in buffers:
-                    # Deserialization is serial through the field handler,
-                    # so the stream-open latency is NOT hidden between
-                    # batched operations (contrast the ablation in
-                    # benchmarks/bench_ablation.py).
-                    result = self.deserialize(descriptor, data)
-                    addresses.append(result.dest_addr)
-                    total.merge(result.stats)
+            total = DeserStats()
+            addresses = []
+            for data in buffers:
+                # Deserialization is serial through the field handler,
+                # so the stream-open latency is NOT hidden between
+                # batched operations (contrast the ablation in
+                # benchmarks/bench_ablation.py).
+                result = self.deserialize(descriptor, data)
+                addresses.append(result.dest_addr)
+                total.merge(result.stats)
             transport.block_for_deser_completion()
             total.cycles += self.config.fence_cycles
         except BaseException as error:
@@ -690,18 +673,12 @@ class ProtoAccelerator:
         transport = self.transport
         transport.begin_batch()
         try:
-            outputs = total = None
-            if self.batch is not None:
-                attempt = self.batch.serialize_batch(descriptor, addresses)
-                if attempt is not None:
-                    outputs, total = attempt
-            if total is None:
-                total = SerStats()
-                outputs = []
-                for addr in addresses:
-                    result = self.serialize(descriptor, addr)
-                    outputs.append(result.data)
-                    total.merge(result.stats)
+            total = SerStats()
+            outputs = []
+            for addr in addresses:
+                result = self.serialize(descriptor, addr)
+                outputs.append(result.data)
+                total.merge(result.stats)
             transport.block_for_ser_completion()
             total.cycles += self.config.fence_cycles
         except BaseException as error:

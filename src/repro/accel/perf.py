@@ -116,11 +116,7 @@ def render_memoization_line() -> str:
 
 
 def tier_counters() -> dict[str, dict[str, int]]:
-    """Per-op execution-tier run counts (see :mod:`repro.accel.tiers`).
-
-    ``batch-vector`` counts messages replayed by the vectorized batch
-    engine; ``batch-scalar`` counts the engine's per-message fallbacks
-    (each of which *also* lands on interp or codegen)."""
+    """Per-op execution-tier run counts (see :mod:`repro.accel.tiers`)."""
     from repro.accel import tiers
     return tiers.counters()
 
@@ -132,21 +128,11 @@ def render_codegen_line() -> str:
     hits, misses, entries, capacity = codegen.cache_counters()
     total = hits + misses
     rate = f"{hits / total:.1%}" if total else "n/a"
-    state = "on" if codegen.codegen_enabled() else "off"
     lines = [f"codegen cache: {rate} ({hits:,}/{total:,})  "
-             f"entries {entries}/{capacity}  [{state}]"]
+             f"entries {entries}/{capacity}"]
     for op, runs in tier_counters().items():
-        scalar = runs["interp"] + runs["codegen"]
-        direct = scalar - runs["batch-scalar"]
-        processed = direct + runs["batch-vector"] + runs["batch-scalar"]
-        vector_rate = (f"{runs['batch-vector'] / processed:.1%}"
-                       if processed else "n/a")
-        lines.append(
-            f"{op} tiers: interp {runs['interp']:,}  "
-            f"codegen {runs['codegen']:,}  "
-            f"batch-vector {runs['batch-vector']:,}  "
-            f"batch-scalar-fallback {runs['batch-scalar']:,}  "
-            f"(vectorized {vector_rate})")
+        lines.append(f"{op} tiers: interp {runs['interp']:,}  "
+                     f"codegen {runs['codegen']:,}")
     return "\n".join(lines)
 
 

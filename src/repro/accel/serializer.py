@@ -120,12 +120,8 @@ class SerializerUnit:
         #: Optional per-operation cycle-budget watchdog (an object with
         #: ``budget_cycles`` and ``aborts``; see repro.serve.watchdog).
         self.watchdog = None
-        #: "codegen" | "batch" | "interp": whether to use
-        #: schema-specialized kernels when a binding is installed
-        #: (repro.accel.codegen; "batch" additionally lets the driver's
-        #: BatchEngine vectorize whole batches, repro.accel.batchgen).
-        self.fast_path = "codegen"
-        #: KernelBinding installed by the driver; None runs interpreted.
+        #: KernelBinding installed by the driver (repro.accel.codegen);
+        #: None runs interpreted.
         self.codegen = None
 
     # -- RoCC-visible operations -----------------------------------------------
@@ -149,11 +145,8 @@ class SerializerUnit:
         if self._arena is None:
             raise RuntimeError(
                 "no serializer arena assigned; issue ser_assign_arena")
-        if (self.codegen is not None and self.faults is None
-                and self.fast_path in ("codegen", "batch")):
+        if self.codegen is not None and self.faults is None:
             # Specialized straight-line kernel (see DeserializerUnit).
-            # The "batch" tier shares this scalar path for its anchors
-            # and per-message fallbacks.
             kernel = self.codegen.kernel_for(adt_addr)
             if kernel is not None:
                 tiers.note("ser", "codegen")

@@ -1,31 +1,28 @@
 """Process-wide execution-tier run counters.
 
 Every deserialize/serialize call lands on exactly one tier: the
-interpretive FSM (``interp``), a schema-specialized scalar kernel
-(``codegen``), the vectorized batch engine (``batch-vector``), or the
-batch engine's per-message scalar fallback (``batch-scalar``, counted
-*in addition to* the scalar tier that actually ran the message).  The
-units and the batch engine bump these so tier selection is observable
+interpretive FSM (``interp``) or a schema-specialized kernel
+(``codegen``).  The units bump these so tier selection is observable
 through :func:`repro.accel.perf.render_codegen_line`; nothing in the
 cycle model reads them.
 
 This module is deliberately dependency-free -- the FSM units cannot
-import codegen/batchgen (layering), yet all three need to report here.
+import codegen (layering), yet both tiers need to report here.
 """
 
 from __future__ import annotations
 
 _OPS = ("deser", "ser")
-_TIERS = ("interp", "codegen", "batch-vector", "batch-scalar")
+_TIERS = ("interp", "codegen")
 
 _runs: dict[str, dict[str, int]] = {
     op: {tier: 0 for tier in _TIERS} for op in _OPS
 }
 
 
-def note(op: str, tier: str, count: int = 1) -> None:
-    """Record ``count`` messages processed by ``tier`` for ``op``."""
-    _runs[op][tier] += count
+def note(op: str, tier: str) -> None:
+    """Record one message processed by ``tier`` for ``op``."""
+    _runs[op][tier] += 1
 
 
 def counters() -> dict[str, dict[str, int]]:

@@ -60,10 +60,7 @@ class HarnessOptions:
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan` or ``None``)
     injects faults into every accelerated run; it is picklable, so the
-    worker-pool path carries it too.  ``fast_path`` selects the
-    accelerator's host execution tier (``"codegen"``, ``"batch"``, or
-    ``"interp"``); modeled cycles are bit-identical on every tier, so
-    results and cache keys do not depend on it.  ``transport`` selects
+    worker-pool path carries it too.  ``transport`` selects
     the accelerator's attach point (``"rocc"`` or ``"pcie"``); it only
     changes the reported ``transport_cycles``, and joins cache keys
     only when non-default so existing cache entries stay valid.
@@ -72,7 +69,6 @@ class HarnessOptions:
     jobs: int = 1
     disk_cache: bool = True
     fault_plan: object = None
-    fast_path: str = "codegen"
     transport: str = "rocc"
 
 
@@ -80,12 +76,10 @@ _OPTIONS = HarnessOptions()
 
 
 def set_options(jobs: int = 1, disk_cache: bool = True,
-                fault_plan=None, fast_path: str = "codegen",
-                transport: str = "rocc") -> None:
+                fault_plan=None, transport: str = "rocc") -> None:
     global _OPTIONS
     _OPTIONS = HarnessOptions(jobs=max(1, jobs), disk_cache=disk_cache,
-                              fault_plan=fault_plan, fast_path=fast_path,
-                              transport=transport)
+                              fault_plan=fault_plan, transport=transport)
 
 
 def get_options() -> HarnessOptions:
@@ -238,16 +232,13 @@ _UNSET = object()
 def run_spec(spec: WorkloadSpec, verify: bool = True,
              disk_cache: Optional[bool] = None,
              cache_dir: Optional[Path] = None,
-             faults=_UNSET, fast_path: Optional[str] = None,
-             transport: Optional[str] = None
+             faults=_UNSET, transport: Optional[str] = None
              ) -> BenchmarkResult:
     """Run one spec, consulting/feeding the persistent result cache."""
     if disk_cache is None:
         disk_cache = _OPTIONS.disk_cache
     if faults is _UNSET:
         faults = _OPTIONS.fault_plan
-    if fast_path is None:
-        fast_path = _OPTIONS.fast_path
     if transport is None:
         transport = _OPTIONS.transport
     workload = spec.build()
@@ -259,11 +250,10 @@ def run_spec(spec: WorkloadSpec, verify: bool = True,
             return cached
     if spec.operation == "deserialize":
         result = run_deserialization(workload, verify=verify, faults=faults,
-                                     fast_path=fast_path,
                                      transport=transport)
     elif spec.operation == "serialize":
         result = run_serialization(workload, verify=verify, faults=faults,
-                                   fast_path=fast_path, transport=transport)
+                                   transport=transport)
     else:
         raise ValueError(f"unknown operation {spec.operation!r}")
     if key is not None and verify:
@@ -272,17 +262,15 @@ def run_spec(spec: WorkloadSpec, verify: bool = True,
 
 
 def _pool_entry(args: tuple) -> BenchmarkResult:
-    spec, verify, disk_cache, cache_dir, faults, fast_path, transport = args
+    spec, verify, disk_cache, cache_dir, faults, transport = args
     return run_spec(spec, verify=verify, disk_cache=disk_cache,
-                    cache_dir=cache_dir, faults=faults, fast_path=fast_path,
-                    transport=transport)
+                    cache_dir=cache_dir, faults=faults, transport=transport)
 
 
 def run_many(specs: list[WorkloadSpec], jobs: Optional[int] = None,
              verify: bool = True, disk_cache: Optional[bool] = None,
              cache_dir: Optional[Path] = None,
              faults=_UNSET,
-             fast_path: Optional[str] = None,
              transport: Optional[str] = None) -> list[BenchmarkResult]:
     """Run every spec, fanning across processes when ``jobs`` > 1.
 
@@ -295,8 +283,6 @@ def run_many(specs: list[WorkloadSpec], jobs: Optional[int] = None,
         disk_cache = _OPTIONS.disk_cache
     if faults is _UNSET:
         faults = _OPTIONS.fault_plan
-    if fast_path is None:
-        fast_path = _OPTIONS.fast_path
     if transport is None:
         transport = _OPTIONS.transport
     if cache_dir is not None:
@@ -304,18 +290,16 @@ def run_many(specs: list[WorkloadSpec], jobs: Optional[int] = None,
     if jobs <= 1 or len(specs) <= 1:
         return [run_spec(spec, verify=verify, disk_cache=disk_cache,
                          cache_dir=cache_dir, faults=faults,
-                         fast_path=fast_path, transport=transport)
+                         transport=transport)
                 for spec in specs]
-    payloads = [(spec, verify, disk_cache, cache_dir, faults, fast_path,
-                 transport)
+    payloads = [(spec, verify, disk_cache, cache_dir, faults, transport)
                 for spec in specs]
     # Shared pool plumbing (repro.bench.pool): every worker runs the
-    # common initializer -- harness options installed once, numpy and
-    # the execution tiers imported, CPU models built -- so tasks never
-    # pay a cold start.
+    # common initializer -- harness options installed once, the
+    # execution tiers imported, CPU models built -- so tasks never pay a
+    # cold start.
     from repro.bench.pool import make_pool
     options = HarnessOptions(jobs=jobs, disk_cache=disk_cache,
-                             fault_plan=faults, fast_path=fast_path,
-                             transport=transport)
+                             fault_plan=faults, transport=transport)
     with make_pool(min(jobs, len(specs)), options=options) as pool:
         return list(pool.map(_pool_entry, payloads))

@@ -286,81 +286,3 @@ def time_codegen_microbench(cases=CODEGEN_CASES,
             })
     return rows
 
-
-def batch_bench_names() -> list[str]:
-    """The regular micro grid: every Figure 11 case whose schema the
-    batch-shape classifier accepts (flat numeric records -- the varint
-    widths, double/float, and their repeated variants; strings and
-    sub-messages stay on the scalar tiers)."""
-    from repro.proto import batchwire
-    names = []
-    for name in nonalloc_bench_names() + alloc_bench_names():
-        workload = build_microbench(name, batch=1)
-        if batchwire.batch_eligible(workload.descriptor):
-            names.append(name)
-    return names
-
-
-def time_batch_microbench(names=None, batch: int = DEFAULT_BATCH,
-                          repeat: int = 3) -> list[dict]:
-    """Wall-clock host seconds per tier over whole-batch driver calls.
-
-    Times ``deserialize_batch``/``serialize_batch`` (the entry points
-    the batch engine hooks) on the interp and batch tiers.  Returns one
-    row per (case, operation) with best-of-``repeat`` seconds, the
-    speedup, and the batch tier's vectorized/fallback message counts
-    for one call.  Modeled cycles are bit-identical across tiers (the
-    differential suite asserts it); this measures simulation-host time.
-    """
-    from repro.accel import tiers
-    from repro.accel.driver import ProtoAccelerator
-    rows = []
-    for name in (batch_bench_names() if names is None else names):
-        workload = build_microbench(name, batch=batch)
-        buffers = workload.wire_buffers()
-        for operation in ("deserialize", "serialize"):
-            seconds = {}
-            vectorized = fallbacks = 0
-            for fast_path in ("interp", "batch"):
-                accel = ProtoAccelerator(fast_path=fast_path)
-                accel.register_types([workload.descriptor])
-                if operation == "deserialize":
-                    def body():
-                        accel.reset_arenas()
-                        accel.deserialize_batch(workload.descriptor,
-                                                buffers)
-                else:
-                    addresses = [accel.load_object(m)
-                                 for m in workload.messages]
-
-                    def body():
-                        accel.reset_arenas()
-                        accel.serialize_batch(workload.descriptor,
-                                              addresses)
-                body()  # warm-up: kernels, plans, TLB, ADT cache
-                if fast_path == "batch":
-                    op = "deser" if operation == "deserialize" else "ser"
-                    before = tiers.counters()[op]
-                    body()
-                    after = tiers.counters()[op]
-                    vectorized = (after["batch-vector"]
-                                  - before["batch-vector"])
-                    fallbacks = (after["batch-scalar"]
-                                 - before["batch-scalar"])
-                best = float("inf")
-                for _ in range(repeat):
-                    start = time.perf_counter()
-                    body()
-                    best = min(best, time.perf_counter() - start)
-                seconds[fast_path] = best
-            rows.append({
-                "case": name,
-                "operation": operation,
-                "interp_seconds": seconds["interp"],
-                "batch_seconds": seconds["batch"],
-                "speedup": (seconds["interp"] / seconds["batch"]
-                            if seconds["batch"] else float("inf")),
-                "vectorized": vectorized,
-                "fallbacks": fallbacks,
-            })
-    return rows

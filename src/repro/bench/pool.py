@@ -6,9 +6,9 @@ CLI, and the fleet's host-parallel shard execution
 (:mod:`repro.serve.parallel`).  Before this module each grew its own
 ``ProcessPoolExecutor`` wiring; now they share one entry point so
 
-* every worker runs the same :func:`warm_worker` initializer (numpy
-  import when available, execution-tier module imports, software-CPU
-  model construction) instead of cold-starting on its first task, and
+* every worker runs the same :func:`warm_worker` initializer
+  (execution-tier module imports, software-CPU model construction)
+  instead of cold-starting on its first task, and
 * the harness's process-wide :class:`~repro.bench.harness.
   HarnessOptions` are installed in each worker exactly once, at pool
   construction, rather than smuggled through every task payload.
@@ -45,9 +45,8 @@ def warm_worker(options=None, extra: Optional[Callable[[], None]] = None
 
     Runs once per worker process.  The warm-up covers the imports and
     model singletons every benchmark or fleet task would otherwise pay
-    on its first call -- numpy (optional; the batch tier degrades
-    without it), both execution-tier modules, and the software CPU
-    models -- so per-task latency measures the task, not the cold
+    on its first call -- the codegen execution tier and the software
+    CPU models -- so per-task latency measures the task, not the cold
     start.  ``extra`` is an optional picklable callable for
     caller-specific warm-up (e.g. the fleet replay pre-parses its
     schema templates).
@@ -55,11 +54,6 @@ def warm_worker(options=None, extra: Optional[Callable[[], None]] = None
     if options is not None:
         from repro.bench import harness
         harness._OPTIONS = options
-    try:  # numpy is an optional [batch] extra; scalar fallback is fine
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
-    import repro.accel.batchgen  # noqa: F401
     import repro.accel.codegen  # noqa: F401
     from repro.cpu.boom import boom_cpu
     from repro.cpu.xeon import xeon_cpu

@@ -354,34 +354,3 @@ def codegen_speedup_table(rows: Sequence[dict]) -> str:
     lines.append(f"{'geomean':<23} {'':>10} {'':>10} {overall:>8.2f}x")
     return "\n".join(lines)
 
-
-def batch_speedup_table(rows: Sequence[dict]) -> str:
-    """Render the batch-vs-interpreter whole-batch microbenchmark.
-
-    ``rows`` come from :func:`repro.bench.microbench.
-    time_batch_microbench`: one dict per (case, operation) with
-    best-of-N host seconds per tier plus the batch tier's
-    vectorized/fallback message counts for one call.  Modeled cycles
-    are bit-identical across tiers; the batch tier buys wall clock by
-    executing whole conforming batches per numpy call.
-    """
-    if not rows:
-        raise ValueError("no batch microbenchmark rows to render")
-    header = (f"{'case':<12} {'operation':<12} {'interp s':>10} "
-              f"{'batch s':>10} {'speedup':>9}  {'vec/fb':>7}")
-    lines = ["batch vs interpreter (host wall-clock, modeled cycles "
-             "identical)", header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['case']:<12} {row['operation']:<12} "
-            f"{row['interp_seconds']:>10.4f} "
-            f"{row['batch_seconds']:>10.4f} "
-            f"{row['speedup']:>8.2f}x  "
-            f"{row['vectorized']:>3}/{row['fallbacks']}")
-    lines.append("-" * len(header))
-    for operation in ("deserialize", "serialize"):
-        overall = geomean(row["speedup"] for row in rows
-                          if row["operation"] == operation)
-        lines.append(f"{'geomean ' + operation:<25} {'':>10} {'':>10} "
-                     f"{overall:>8.2f}x")
-    return "\n".join(lines)

@@ -217,11 +217,11 @@ def run_deserialization(workload: Workload, verify: bool = True,
     ``faults`` (a :class:`~repro.faults.FaultPlan` or ``None``) only
     affects the accelerated system; the software baselines model fault-
     free CPUs either way.  ``fast_path`` selects the accelerator's host
-    execution tier (``"codegen"``, ``"batch"``, or ``"interp"``);
-    modeled cycles are identical on every tier, so results do not
-    depend on it.  ``transport`` selects the accelerator's attach point
-    (``"rocc"`` or ``"pcie"``); it changes only the reported
-    ``transport_cycles``, never the unit cycles or Gbit/s.
+    execution tier (``"codegen"`` or ``"interp"``); modeled cycles are
+    identical on both tiers, so results do not depend on it.
+    ``transport`` selects the accelerator's attach point (``"rocc"`` or
+    ``"pcie"``); it changes only the reported ``transport_cycles``,
+    never the unit cycles or Gbit/s.
     """
     buffers = workload.wire_buffers()
     result = BenchmarkResult(workload.name, "deserialize")

@@ -296,7 +296,6 @@ def compile_schema(schema: Schema,
     # Pre-compile the specialized parse/serialize kernels for every type
     # so the generated classes hit warm kernels on first use (protoc
     # emits its fast parsers at compile time, not first call).
-    from repro.proto.specialized import specialization_enabled, warm
-    if specialization_enabled():
-        warm(schema)
+    from repro.proto.specialized import warm
+    warm(schema)
     return module

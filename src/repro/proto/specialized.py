@@ -61,20 +61,6 @@ _M64 = (1 << 64) - 1
 
 SPECIALIZED_CACHE_CAPACITY = 128
 
-_ENABLED = True
-
-
-def set_specialization_enabled(enabled: bool) -> None:
-    """Toggle the CPU codegen tier (and drop compiled kernels when off)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-    if not _ENABLED:
-        _CACHE.clear()
-
-
-def specialization_enabled() -> bool:
-    return _ENABLED
-
 
 class _SpecializedCache:
     """LRU of per-descriptor kernel pairs, keyed by descriptor identity."""
@@ -123,16 +109,12 @@ def parser_for(descriptor):
     keep_unknown)`` with ``data`` a bytes-like object (the callers pass a
     memoryview over the whole input, as the interpreter does).
     """
-    if not _ENABLED:
-        return None
     kernels = _CACHE.lookup(descriptor)
     return kernels[0] if kernels is not None else None
 
 
 def encoder_for(descriptor):
     """The specialized serialize kernel (``fn(message) -> bytes``)."""
-    if not _ENABLED:
-        return None
     kernels = _CACHE.lookup(descriptor)
     return kernels[1] if kernels is not None else None
 
@@ -661,222 +643,3 @@ def _namespace(root) -> dict:
             if fd.is_repeated or fd.field_type is FieldType.STRING:
                 namespace[f"_fd_{ti}_{fd.number}"] = fd
     return namespace
-
-# ---------------------------------------------------------------------------
-# Batch (vectorized) tier -- the CPU mirror of repro.accel.batchgen
-
-# The accelerator's batch engine gets its ≥10x from executing whole
-# same-schema batches per call; to keep the accel-vs-CPU comparison
-# honest the software library grows the same tier.  The wire-structure
-# machinery is shared (repro.proto.batchwire): the first message of a
-# batch parses/serializes scalar and becomes the template; every later
-# message that structurally conforms is decoded from a stacked numpy
-# byte matrix (parallel varint gather, strided fixed-width views) or
-# encoded by patching the template's value bytes.  Irregular messages
-# fall back to the scalar kernels per message, so behaviour -- values,
-# presence, errors -- is the scalar path's by construction.
-
-
-def batch_enabled() -> bool:
-    """True when the CPU batch tier can vectorize (numpy + kernels on)."""
-    from repro.proto import batchwire
-    return _ENABLED and batchwire.numpy_available()
-
-
-def parse_batch(descriptor, buffers, keep_unknown: bool = False):
-    """Parse a batch of same-type wire buffers; returns Messages.
-
-    Observationally identical to calling
-    :func:`repro.proto.decoder.parse_message` per buffer (same values,
-    presence, and exceptions, raised at the same batch position).
-    """
-    from repro.proto import batchwire
-    from repro.proto.decoder import _decode_varint_value, parse_message
-    np = batchwire.np
-    vector_ok = (np is not None and _ENABLED and len(buffers) >= 2
-                 and batchwire.batch_eligible(descriptor))
-    results = []
-    prepared = None
-    for index, data in enumerate(buffers):
-        if prepared is not None:
-            row = prepared.get(index)
-            if row is not None:
-                results.append(row())
-                continue
-        data = bytes(data)
-        message = parse_message(descriptor, data,
-                                keep_unknown=keep_unknown)
-        results.append(message)
-        if vector_ok and prepared is None:
-            plan = batchwire.template_wire_plan(descriptor, data)
-            if plan is not None and not plan.has_unknown:
-                prepared = _prepare_parse_rows(descriptor, plan, data,
-                                               buffers, index + 1,
-                                               _decode_varint_value, np)
-    return results
-
-
-def _prepare_parse_rows(descriptor, plan, template, buffers, start,
-                        decode_value, np):
-    """Vectorized decode of every conforming buffer past the anchor.
-
-    Returns {batch index: zero-arg Message builder} for the rows the
-    template covers; everything else stays on the scalar path.
-    """
-    from repro.proto import batchwire
-    length = len(template)
-    candidates = [i for i in range(start, len(buffers))
-                  if len(buffers[i]) == length]
-    if not candidates:
-        return {}
-    matrix = batchwire.stack_rows([bytes(buffers[i]) for i in candidates])
-    ok = batchwire.conforming_rows(
-        matrix, np.frombuffer(template, dtype=np.uint8),
-        np.frombuffer(plan.mask, dtype=np.uint8))
-    conforming = [i for i, good in zip(candidates, ok) if good]
-    if not conforming:
-        return {}
-    if len(conforming) < len(candidates):
-        matrix = matrix[ok]
-    # Decode values column-at-a-time: one numpy gather per field/element
-    # run, then the decoder's exact per-value transform.
-    singular_cols = []
-    for op in plan.singular_ops:
-        fd = descriptor.field_by_number(op.number)
-        if op.kind == "fixed":
-            fmt = _FIXED[fd.field_type][0]
-            column = [
-                _struct_unpack_from(fmt, matrix[j, op.start:].tobytes())[0]
-                for j in range(len(conforming))
-            ]
-        else:
-            payload = batchwire.gather_varint(matrix, op.start, op.length)
-            column = [decode_value(fd, int(p)) for p in payload]
-        singular_cols.append((fd, column))
-    repeated_cols = []
-    for number, spec in plan.repeated.items():
-        fd = descriptor.field_by_number(number)
-        columns = []
-        for element in spec.elements:
-            if spec.kind == "fixed":
-                fmt = _FIXED[fd.field_type][0]
-                columns.append([
-                    _struct_unpack_from(
-                        fmt, matrix[j, element.start:].tobytes())[0]
-                    for j in range(len(conforming))
-                ])
-            else:
-                payload = batchwire.gather_varint(matrix, element.start,
-                                                  element.length)
-                columns.append([decode_value(fd, int(p)) for p in payload])
-        repeated_cols.append((fd, columns))
-
-    def build(j):
-        message = Message(descriptor)
-        values = message._values
-        hasbits = message._hasbits
-        for fd, column in singular_cols:
-            values[fd.number] = column[j]
-            hasbits.add(fd.number)
-        for fd, columns in repeated_cols:
-            repeated = RepeatedField(fd)
-            repeated._items = [column[j] for column in columns]
-            values[fd.number] = repeated
-            hasbits.add(fd.number)
-        return message
-
-    return {index: (lambda j=j: build(j))
-            for j, index in enumerate(conforming)}
-
-
-def encode_batch(descriptor, messages):
-    """Serialize a batch of same-type messages; returns wire bytes.
-
-    Observationally identical to per-message
-    :func:`repro.proto.encoder.serialize_message` (required-field checks
-    included, raised at the same batch position).
-    """
-    from repro.proto import batchwire
-    from repro.proto.encoder import _varint_payload, serialize_message
-    np = batchwire.np
-    vector_ok = (np is not None and _ENABLED and len(messages) >= 2
-                 and batchwire.batch_eligible(descriptor))
-    results = []
-    prepared = None
-    for index, message in enumerate(messages):
-        if prepared is not None:
-            row = prepared.get(index)
-            if row is not None:
-                results.append(row)
-                continue
-        data = serialize_message(message)
-        results.append(data)
-        if vector_ok and prepared is None:
-            plan = batchwire.template_wire_plan(descriptor, data)
-            if plan is not None and not plan.has_unknown:
-                prepared = _prepare_encode_rows(descriptor, plan, data,
-                                                message, messages,
-                                                index + 1, _varint_payload,
-                                                np)
-    return results
-
-
-def _prepare_encode_rows(descriptor, plan, template, anchor, messages,
-                         start, varint_payload, np):
-    """Patch the template's value bytes for every conforming message.
-
-    Conformance: identical presence set, no unknown fields, identical
-    repeated-element counts, and every varint value encoding to the
-    template's width (which pins every output byte position).  Returns
-    {batch index: wire bytes}.
-    """
-    from repro.proto import batchwire
-    counts = {number: spec.count
-              for number, spec in plan.repeated.items()}
-
-    def element_count(message, number):
-        repeated = message._values.get(number)
-        return len(repeated._items) if repeated is not None else 0
-
-    candidates = [
-        i for i in range(start, len(messages))
-        if (messages[i]._hasbits == anchor._hasbits
-            and not messages[i]._unknown
-            and all(element_count(messages[i], number) == count
-                    for number, count in counts.items()))
-    ]
-    if not candidates:
-        return {}
-    out = np.tile(np.frombuffer(template, dtype=np.uint8),
-                  (len(candidates), 1))
-    keep = np.ones(len(candidates), dtype=bool)
-    for op in plan.singular_ops:
-        fd = descriptor.field_by_number(op.number)
-        column = [messages[i]._values[op.number] for i in candidates]
-        _patch_column(out, keep, op, fd, column, varint_payload, np)
-    for number, spec in plan.repeated.items():
-        fd = descriptor.field_by_number(number)
-        for position, element in enumerate(spec.elements):
-            column = [messages[i]._values[number]._items[position]
-                      for i in candidates]
-            _patch_column(out, keep, element, fd, column, varint_payload,
-                          np, width=spec.width, kind=spec.kind)
-    return {index: out[j].tobytes()
-            for j, index in enumerate(candidates) if keep[j]}
-
-
-def _patch_column(out, keep, op, fd, column, varint_payload, np,
-                  width=None, kind=None):
-    """Write one field/element run's values into the output matrix."""
-    from repro.proto import batchwire
-    if (kind or op.kind) == "fixed":
-        fmt = _FIXED[fd.field_type][0]
-        packed = b"".join(_struct_pack(fmt, value) for value in column)
-        w = width if width is not None else op.width
-        out[:, op.start:op.start + w] = np.frombuffer(
-            packed, dtype=np.uint8).reshape(len(column), w)
-        return
-    payload = np.array([varint_payload(fd, value) for value in column],
-                       dtype=np.uint64)
-    keep &= batchwire.varint_length_vec(payload) == op.length
-    batchwire.emit_varint(out, op.start, op.length, payload)

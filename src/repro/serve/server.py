@@ -93,14 +93,6 @@ class ServePolicy:
     #: change charging (tests/serve/test_fleet_replay.py).  Off by
     #: default: the PR 3/4 baselines keep warm-TLB semantics.
     stateless_tiles: bool = False
-    #: Host execution tier for each tile's accelerator ("codegen",
-    #: "batch", or "interp").  Modeled cycles are identical on all
-    #: tiers; codegen/batch only speed up the simulation host ("batch"
-    #: additionally vectorizes whole same-schema batches through the
-    #: driver's *_batch entry points; see docs/PERF.md).  Tiles with a
-    #: fault plan armed bypass both fast tiers regardless (the driver
-    #: enforces this, so every fault site keeps firing).
-    fast_path: str = "codegen"
     #: Accelerator attach point for every tile ("rocc" or "pcie").
     #: Unit cycles are transport-independent; successful stages are
     #: additionally charged the attach-point cost
@@ -148,8 +140,7 @@ class Tile:
             config=SoCConfig(transport=policy.transport),
             faults=plan,
             recovery=RecoveryPolicy(max_retries=0, cpu_fallback=False),
-            watchdog=FsmWatchdog(policy.watchdog_budget_cycles),
-            fast_path=policy.fast_path)
+            watchdog=FsmWatchdog(policy.watchdog_budget_cycles))
         self.breaker = CircuitBreaker(policy.breaker)
         #: Cycle at which this tile finishes its current work.
         self.free_at = 0.0

@@ -1,10 +1,10 @@
 """Unit tests for the schema-specialized kernel tier (repro.accel.codegen).
 
 Covers the pieces the differential suite does not: the bounded LRU code
-cache and its counters, process-wide enable/disable, invalidation
-alongside the ADT caches, the driver's fast-path validation, and the
-rule that an armed fault plan keeps the bindings uninstalled so every
-named injection site still fires through the interpretive FSMs.
+cache and its counters, invalidation alongside the ADT caches, the
+driver's fast-path validation, and the rule that an armed fault plan
+keeps the bindings uninstalled so every named injection site still
+fires through the interpretive FSMs.
 """
 
 import pytest
@@ -57,16 +57,17 @@ def _accel(**kwargs):
 
 @pytest.fixture(autouse=True)
 def _clean_codegen_state():
-    codegen.set_codegen_enabled(True)
     codegen.invalidate_kernel_caches()
     yield
-    codegen.set_codegen_enabled(True)
     codegen.invalidate_kernel_caches()
 
 
 def test_driver_rejects_unknown_fast_path():
-    with pytest.raises(ValueError, match="fast_path"):
-        ProtoAccelerator(fast_path="vectorized")
+    # "batch" once selected a vectorized tier; it must not be accepted
+    # silently now.
+    for fast_path in ("vectorized", "batch"):
+        with pytest.raises(ValueError, match="fast_path"):
+            ProtoAccelerator(fast_path=fast_path)
 
 
 def test_interp_mode_installs_no_bindings():
@@ -122,23 +123,6 @@ def test_armed_fault_plan_keeps_bindings_uninstalled():
     assert observed == message
 
 
-def test_set_codegen_enabled_bypasses_installed_bindings():
-    accel = _accel(fast_path="codegen")
-    codegen.set_codegen_enabled(False)
-    assert not codegen.codegen_enabled()
-    assert accel.deserializer.codegen.kernel_for(0) is None
-    # The accelerator still works (interpreted) and the cache is empty.
-    message = _probe_message()
-    result = accel.deserialize(_SCHEMA["Probe"], message.serialize())
-    observed = accel.read_message(_SCHEMA["Probe"], result.dest_addr)
-    assert observed == message
-    assert codegen.cache_counters()[2] == 0
-    codegen.set_codegen_enabled(True)
-    result = accel.deserialize(_SCHEMA["Probe"], message.serialize())
-    assert accel.read_message(_SCHEMA["Probe"], result.dest_addr) == message
-    assert codegen.cache_counters()[2] > 0  # kernels recompiled
-
-
 def test_code_cache_hits_across_accelerator_instances():
     wire = _probe_message().serialize()
     first = _accel(fast_path="codegen")
@@ -191,4 +175,4 @@ def test_perf_surface_exposes_codegen_counters():
     hits, misses = counters["codegen"]
     assert misses > 0
     line = perf.render_codegen_line()
-    assert "codegen cache" in line and "[on]" in line
+    assert "codegen cache" in line and "deser tiers:" in line

@@ -79,6 +79,46 @@ class TestBatching:
         assert all(output == m.serialize() for output in outputs)
         assert stats.output_bytes == 4 * len(m.serialize())
 
+    def test_empty_batch_charges_only_the_fence(self, schema):
+        accel = ProtoAccelerator()
+        accel.register_schema(schema)
+        addresses, stats = accel.deserialize_batch(schema["M"], [])
+        assert addresses == []
+        assert stats.cycles == accel.config.fence_cycles
+        outputs, stats = accel.serialize_batch(schema["M"], [])
+        assert outputs == []
+        assert stats.cycles == accel.config.fence_cycles
+
+    def test_batch_is_per_message_loop_plus_one_fence(self, schema):
+        """Section 4.4.1 batching: N info/do pairs, then one fence.  The
+        batch total is the per-message cycles of the same calls on an
+        identical device, in order, plus the fence."""
+        messages = []
+        for index in range(6):
+            m = schema["M"].new_message()
+            m["x"] = 1 << (7 * index)
+            m["s"] = "s" * index
+            messages.append(m)
+        wires = [m.serialize() for m in messages]
+        devices = []
+        for _ in range(2):
+            accel = ProtoAccelerator()
+            accel.register_schema(schema)
+            devices.append(accel)
+        batched, single = devices
+        _, stats = batched.deserialize_batch(schema["M"], wires)
+        cycles = 0.0
+        for wire in wires:
+            cycles += single.deserialize(schema["M"], wire).stats.cycles
+        assert stats.cycles == cycles + single.config.fence_cycles
+        addresses = [batched.load_object(m) for m in messages]
+        _, stats = batched.serialize_batch(schema["M"], addresses)
+        cycles = 0.0
+        for m in messages:
+            cycles += single.serialize(
+                schema["M"], single.load_object(m)).stats.cycles
+        assert stats.cycles == cycles + single.config.fence_cycles
+
 
 class TestMaintenance:
     def test_reset_arenas_allows_reuse(self, schema):
