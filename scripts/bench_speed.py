@@ -4,8 +4,8 @@
 Runs a fixed subset of the evaluation -- the four Figure 11 classes,
 the Section 5.1.3 sweep, and HyperProtoBench's bench0 (both operations)
 -- twice: once serial with every cache disabled (the pre-optimisation
-baseline), once with the memoisation caches, disk cache, and requested
-job count (the shipped path).  Writes wall-clock seconds, the speedup,
+baseline), once with the memoisation caches and requested job count
+(the shipped path).  Writes wall-clock seconds, the speedup,
 cache hit rates, and the job count to ``BENCH_harness.json``.
 
 ``--serve`` switches to the resilient-serving benchmark instead: an
@@ -74,9 +74,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -120,7 +118,6 @@ def set_caches(enabled: bool) -> None:
 
 
 def timed_run(specs, jobs: int, caches: bool,
-              cache_dir: Path | None,
               faults: FaultPlan | None = None) -> tuple[float, list]:
     clear_memo_caches()
     set_caches(caches)
@@ -129,11 +126,10 @@ def timed_run(specs, jobs: int, caches: bool,
     # pushes into each worker) and let run_many inherit them, instead
     # of threading a parallel set of keyword arguments.
     previous = harness.get_options()
-    harness.set_options(jobs=jobs, disk_cache=cache_dir is not None,
-                        fault_plan=faults)
+    harness.set_options(jobs=jobs, fault_plan=faults)
     try:
         start = time.perf_counter()
-        results = run_many(specs, cache_dir=cache_dir)
+        results = run_many(specs)
         return time.perf_counter() - start, results
     finally:
         harness._OPTIONS = previous
@@ -900,38 +896,27 @@ def main(argv: list[str]) -> int:
           f"(micro batch {micro_batch}, hyper batch {hyper_batch}"
           + (f", fault rate {args.fault_rate}" if plan else "") + ")")
 
-    cache_dir = Path(tempfile.mkdtemp(prefix="bench-speed-cache-"))
-    try:
-        serial_s, serial_results = timed_run(specs, jobs=1, caches=False,
-                                             cache_dir=None, faults=plan)
-        print(f"serial uncached: {serial_s:.2f} s")
-        fast_s, fast_results = timed_run(specs, jobs=args.jobs, caches=True,
-                                         cache_dir=cache_dir, faults=plan)
-        print(f"cached (jobs={args.jobs}): {fast_s:.2f} s")
-        if args.jobs > 1:
-            # Memo-cache counters live in the worker processes; the
-            # parent's are empty and would misreport as 0%.
-            rates = None
-            print("memo caches: per-worker (hit rates not aggregated "
-                  "across processes)")
-        else:
-            rates = hit_rates()
-            print(render_memoization_line())
-        replay_s, replay_results = timed_run(specs, jobs=args.jobs,
-                                             caches=True,
-                                             cache_dir=cache_dir,
-                                             faults=plan)
-        print(f"disk-cache replay: {replay_s:.2f} s")
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
+    serial_s, serial_results = timed_run(specs, jobs=1, caches=False,
+                                         faults=plan)
+    print(f"serial uncached: {serial_s:.2f} s")
+    fast_s, fast_results = timed_run(specs, jobs=args.jobs, caches=True,
+                                     faults=plan)
+    print(f"cached (jobs={args.jobs}): {fast_s:.2f} s")
+    if args.jobs > 1:
+        # Memo-cache counters live in the worker processes; the
+        # parent's are empty and would misreport as 0%.
+        rates = None
+        print("memo caches: per-worker (hit rates not aggregated "
+              "across processes)")
+    else:
+        rates = hit_rates()
+        print(render_memoization_line())
 
-    for label, results in (("cached", fast_results),
-                           ("replay", replay_results)):
-        for want, got in zip(serial_results, results):
-            if want != got:
-                print(f"ERROR: {label} run diverged on {want.workload} "
-                      f"{want.operation}")
-                return 1
+    for want, got in zip(serial_results, fast_results):
+        if want != got:
+            print(f"ERROR: cached run diverged on {want.workload} "
+                  f"{want.operation}")
+            return 1
     print("differential check: fast paths match serial-uncached exactly")
 
     faults_injected = sum(
@@ -950,15 +935,12 @@ def main(argv: list[str]) -> int:
         "faults_injected": faults_injected,
         "serial_uncached_seconds": serial_s,
         "cached_seconds": fast_s,
-        "disk_replay_seconds": replay_s,
         "speedup": speedup,
-        "replay_speedup": serial_s / replay_s if replay_s else float("inf"),
         "cache_hit_rates": rates,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n",
                            encoding="utf-8")
-    print(f"speedup: {speedup:.2f}x (replay {payload['replay_speedup']:.2f}x)"
-          f" -> {args.output}")
+    print(f"speedup: {speedup:.2f}x -> {args.output}")
     if args.check_regression:
         return check_regression(args, fast_s, baseline)
     return 0

@@ -65,7 +65,7 @@ class BatchCycleCache:
     A whole batch, however, is deterministic: a fresh accelerator given
     the same (SoC config, message type, ordered wire buffers) always
     produces the same aggregate stats.  This cache replays those verified
-    aggregates, keyed by config fingerprint + descriptor structural
+    aggregates, keyed by config repr + descriptor structural
     fingerprint + buffer digest.  See docs/PERF.md.
     """
 
@@ -76,15 +76,11 @@ class BatchCycleCache:
         self.misses = 0
         self._entries: dict[tuple, tuple] = {}
 
-    @staticmethod
-    def config_fingerprint(config: SoCConfig) -> str:
-        # Dataclass repr renders every knob (including the nested memory
-        # timing model) deterministically.
-        return repr(config)
-
     def make_key(self, config: SoCConfig, descriptor_fp: str,
                  digest: bytes) -> tuple:
-        return (self.config_fingerprint(config), descriptor_fp, digest)
+        # Dataclass repr renders every knob (including the nested memory
+        # timing model) deterministically.
+        return (repr(config), descriptor_fp, digest)
 
     def lookup(self, key: tuple) -> Optional[tuple]:
         if not self.enabled:

@@ -1,5 +1,8 @@
 """CLI: regenerate the paper's figures without pytest.
 
+Every run computes its results; nothing is replayed from disk, so the
+output always reflects the current cost models.
+
 Usage::
 
     python -m repro.bench                      # list available figures
@@ -7,7 +10,6 @@ Usage::
     python -m repro.bench all                  # regenerate everything
     python -m repro.bench all --jobs 4         # fan workloads across 4
                                                # worker processes
-    python -m repro.bench fig12 --no-cache     # ignore results/.cache/
     python -m repro.bench faults               # fault degradation curve
     python -m repro.bench fig11a --fault-rate 0.01
                                                # inject per-message faults
@@ -34,9 +36,6 @@ def main(argv: list[str]) -> int:
         "-j", "--jobs", type=int, default=1,
         help="worker processes for benchmark workloads (default 1)")
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent result cache under results/.cache/")
-    parser.add_argument(
         "--fault-rate", type=float, default=0.0, metavar="P",
         help="per-message fault-injection probability for accelerated "
              "runs (default 0: faults disabled)")
@@ -52,12 +51,11 @@ def main(argv: list[str]) -> int:
                else args.figures)
     plan = (FaultPlan(seed=args.fault_seed, rate=args.fault_rate)
             if args.fault_rate > 0 else None)
-    # The one jobs/cache/faults entry point, shared with scripts/
+    # The one jobs/faults entry point, shared with scripts/
     # bench_speed.py: run_many reads these options and the shared pool
     # initializer (repro.bench.pool.warm_worker) installs them in
     # every worker process.
-    set_options(jobs=args.jobs, disk_cache=not args.no_cache,
-                fault_plan=plan)
+    set_options(jobs=args.jobs, fault_plan=plan)
     for target in targets:
         generator = ALL_FIGURES.get(target)
         if generator is None:

@@ -9,6 +9,7 @@ or produced (serialization), exactly the metric of Figures 11-13.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.accel.driver import (
@@ -56,7 +57,7 @@ class SystemResult:
     """One system's measurement on one workload.
 
     The fault counters are zero except on ``riscv-boom-accel`` runs with
-    fault injection enabled; defaults keep old cached JSON loadable.
+    fault injection enabled.
     """
 
     system: str
@@ -118,6 +119,23 @@ def _fault_counters(accel: ProtoAccelerator) -> dict:
     }
 
 
+def _device(config: SoCConfig, faults, inject: bool,
+            fast_path: str) -> ProtoAccelerator:
+    """A fresh accelerator for one benchmark batch.
+
+    Without an armed fault plan no hang can be injected, so the FSM
+    always makes progress and the device gets an unbounded watchdog:
+    the default per-operation budget would otherwise abort valid large
+    messages.  The watchdog is a pure comparator, so cycles are
+    unchanged either way.
+    """
+    accel = ProtoAccelerator(config=config, faults=faults,
+                             fast_path=fast_path)
+    if not inject:
+        accel.watchdog.budget_cycles = math.inf
+    return accel
+
+
 def _accel_deser(workload: Workload, buffers: list[bytes],
                  verify: bool, faults=None,
                  fast_path: str = "codegen",
@@ -147,8 +165,7 @@ def _accel_deser(workload: Workload, buffers: list[bytes],
                 transport_cycles=stats.transport_cycles)
     # fast_path only changes host wall-clock (modeled cycles are
     # bit-identical on both tiers), so batch-cache keys ignore it.
-    accel = ProtoAccelerator(config=config, faults=faults,
-                             fast_path=fast_path)
+    accel = _device(config, faults, inject, fast_path)
     accel.register_types([workload.descriptor])
     addresses, stats = accel.deserialize_batch(workload.descriptor, buffers)
     if verify:
@@ -187,8 +204,7 @@ def _accel_ser(workload: Workload, verify: bool, faults=None,
                 config.gbits_per_second(wire_bytes, stats.cycles),
                 stats.cycles, wire_bytes,
                 transport_cycles=stats.transport_cycles)
-    accel = ProtoAccelerator(config=config, faults=faults,
-                             fast_path=fast_path)
+    accel = _device(config, faults, inject, fast_path)
     accel.register_types([workload.descriptor])
     addresses = [accel.load_object(m) for m in workload.messages]
     outputs, stats = accel.serialize_batch(workload.descriptor, addresses)

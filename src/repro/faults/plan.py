@@ -2,10 +2,7 @@
 
 A :class:`FaultPlan` names the hardware *sites* at which faults may fire
 and a per-operation probability.  Plans are frozen and picklable so the
-benchmark harness can ship them to worker processes, and they carry a
-``fingerprint()`` that the harness folds into its disk-cache keys (only
-when faults are active, so fault-free cache entries stay bit-identical
-to the pre-fault-subsystem ones).
+benchmark harness can ship them to worker processes.
 
 Site semantics (docs/FAULTS.md has the full taxonomy):
 
@@ -179,10 +176,3 @@ class FaultPlan:
         digest = hashlib.sha256(material.encode()).digest()
         return dataclasses.replace(
             self, seed=int.from_bytes(digest[:8], "big"))
-
-    def fingerprint(self) -> str:
-        """Deterministic identity for cache keys and reports."""
-        return "faults:v2|" + "|".join((
-            str(self.seed), repr(self.rate),
-            ",".join(s.value for s in self.sites),
-            str(self.transient_duration), str(self.max_trigger)))

@@ -1,9 +1,9 @@
 """Differential tests: every fast path reproduces the serial figures.
 
-The zero-copy wire layer, the cycle/batch memoisation caches, the
-persistent disk cache, and the process-pool fan-out must all be
-invisible in the numbers: cycles and Gbit/s identical to the last ULP
-against a serial run with every cache disabled.
+The zero-copy wire layer, the cycle/batch memoisation caches, and the
+process-pool fan-out must all be invisible in the numbers: cycles and
+Gbit/s identical to the last ULP against a serial run with every cache
+disabled.
 """
 
 import math
@@ -18,11 +18,10 @@ from repro.accel.driver import (
 )
 from repro.bench.harness import (
     WorkloadSpec,
-    cache_key,
-    load_cached,
+    get_options,
     run_many,
     run_spec,
-    store_cached,
+    set_options,
 )
 from repro.bench.runner import SYSTEMS
 from repro.cpu.model import (
@@ -51,7 +50,7 @@ def _run_uncached(spec):
     set_batch_cache_enabled(False)
     set_adt_caches_enabled(False)
     try:
-        return run_spec(spec, disk_cache=False)
+        return run_spec(spec)
     finally:
         set_cycle_cache_enabled(True)
         set_batch_cache_enabled(True)
@@ -76,8 +75,8 @@ def assert_identical(reference, observed):
 ])
 def test_memo_caches_reproduce_uncached_run(fresh_caches, spec):
     reference = _run_uncached(spec)
-    cold = run_spec(spec, disk_cache=False)   # populates memo caches
-    warm = run_spec(spec, disk_cache=False)   # served from memo caches
+    cold = run_spec(spec)   # populates memo caches
+    warm = run_spec(spec)   # served from memo caches
     assert_identical(reference, cold)
     assert_identical(reference, warm)
     # The warm run must actually have hit a cache, or this test proves
@@ -87,50 +86,24 @@ def test_memo_caches_reproduce_uncached_run(fresh_caches, spec):
     assert hits > 0
 
 
-def test_disk_cache_roundtrip_is_exact(fresh_caches, tmp_path):
-    spec = WorkloadSpec("micro", "varint-10", "deserialize", 8)
-    reference = _run_uncached(spec)
-    key = cache_key(spec, spec.build())
-    store_cached(key, reference, cache_dir=tmp_path)
-    replayed = load_cached(key, cache_dir=tmp_path)
-    assert replayed is not None
-    assert_identical(reference, replayed)
-
-
-def test_disk_cached_run_matches_serial_uncached(fresh_caches, tmp_path):
-    spec = WorkloadSpec("micro", "double", "serialize", 8)
-    reference = _run_uncached(spec)
-    cold = run_spec(spec, disk_cache=True, cache_dir=tmp_path)
-    from_disk = run_spec(spec, disk_cache=True, cache_dir=tmp_path)
-    assert_identical(reference, cold)
-    assert_identical(reference, from_disk)
-    assert load_cached(cache_key(spec, spec.build()),
-                       cache_dir=tmp_path) is not None
-
-
-def test_parallel_cached_matches_serial_uncached(fresh_caches, tmp_path):
+def test_parallel_cached_matches_serial_uncached(fresh_caches):
     """The acceptance-criteria differential: one Fig-11 workload run
     serial-uncached vs parallel-with-caches, bit-for-bit equal."""
     specs = [WorkloadSpec("micro", "varint-5", "deserialize", 8),
              WorkloadSpec("micro", "varint-5", "serialize", 8)]
     references = [_run_uncached(spec) for spec in specs]
-    observed = run_many(specs, jobs=2, disk_cache=True,
-                        cache_dir=tmp_path)
+    observed = run_many(specs, jobs=2)
     for reference, result in zip(references, observed):
         assert_identical(reference, result)
-    # And again, now served from the persistent cache.
-    replayed = run_many(specs, jobs=2, disk_cache=True,
-                        cache_dir=tmp_path)
-    for reference, result in zip(references, replayed):
-        assert_identical(reference, result)
 
 
-def test_cache_key_sensitivity(fresh_caches):
-    base = WorkloadSpec("micro", "varint-5", "deserialize", 8)
-    key = cache_key(base, base.build())
-    for other in (
-        WorkloadSpec("micro", "varint-5", "serialize", 8),
-        WorkloadSpec("micro", "varint-5", "deserialize", 9),
-        WorkloadSpec("micro", "varint-10", "deserialize", 8),
-    ):
-        assert cache_key(other, other.build()) != key
+def test_disk_cache_cannot_be_enabled():
+    # The on-disk result cache is gone; the keyword survives only so
+    # callers passing ``disk_cache=False`` keep working.
+    before = get_options()
+    with pytest.raises(ValueError, match="removed"):
+        set_options(disk_cache=True)
+    assert get_options() is before
+    with pytest.raises(ValueError, match="removed"):
+        run_many([], disk_cache=True)
+    assert run_many([], disk_cache=False) == []

@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.accel.watchdog import DEFAULT_BUDGET_CYCLES
 from repro.bench.microbench import build_microbench
 from repro.bench.runner import (
     SYSTEMS,
+    Workload,
     run_deserialization,
     run_serialization,
 )
+from repro.proto import parse_schema
+from repro.proto.message import Message
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +51,16 @@ class TestRunner:
     def test_operation_labels(self, deser_result, ser_result):
         assert deser_result.operation == "deserialize"
         assert ser_result.operation == "serialize"
+
+
+def test_large_fault_free_message_is_not_watchdog_aborted():
+    # 60,000 unpacked int32 elements decode in about 200k accelerator
+    # cycles, twice the default watchdog budget.  With no fault plan
+    # armed nothing can hang, so the benchmark must run it to the end.
+    schema = parse_schema(
+        'syntax = "proto2"; message Big { repeated int32 v = 1; }')
+    message = Message(schema["Big"])
+    message["v"].extend(range(60_000))
+    result = run_deserialization(
+        Workload("big-repeated", schema["Big"], [message]))
+    assert result.results["riscv-boom-accel"].cycles > DEFAULT_BUDGET_CYCLES

@@ -12,7 +12,6 @@ import pytest
 
 from repro.bench.harness import (
     WorkloadSpec,
-    cache_key,
     run_many,
     run_spec,
 )
@@ -28,25 +27,13 @@ _SPECS = [WorkloadSpec("micro", "varint-3", "deserialize", 6),
 
 def test_zero_rate_plan_matches_no_plan():
     """A rate-0 plan must be indistinguishable from no plan at all:
-    same cycles, same throughput, same cache keys."""
+    same cycles, same throughput."""
     plan = FaultPlan(seed=9, rate=0.0)
     spec = _SPECS[0]
-    without = run_spec(spec, disk_cache=False, faults=None)
-    with_plan = run_spec(spec, disk_cache=False, faults=plan)
+    without = run_spec(spec, faults=None)
+    with_plan = run_spec(spec, faults=plan)
     assert dataclasses.asdict(without.results["riscv-boom-accel"]) == \
         dataclasses.asdict(with_plan.results["riscv-boom-accel"])
-    workload = spec.build()
-    assert cache_key(spec, workload, faults=plan) == \
-        cache_key(spec, workload, faults=None)
-
-
-def test_enabled_plan_changes_cache_key_only_when_active():
-    plan = FaultPlan(seed=9, rate=0.25)
-    spec = _SPECS[0]
-    workload = spec.build()
-    base = cache_key(spec, workload)
-    assert cache_key(spec, workload, faults=plan) != base
-    assert FaultPlan(seed=10, rate=0.25).fingerprint() != plan.fingerprint()
 
 
 def test_workloads_complete_under_heavy_fault_load():
@@ -54,7 +41,7 @@ def test_workloads_complete_under_heavy_fault_load():
     completion with verify=True, so each faulted message was retried or
     CPU-fallback-decoded bit-identically."""
     plan = FaultPlan(seed=2, rate=1.0, max_trigger=2)
-    results = run_many(_SPECS, disk_cache=False, faults=plan)
+    results = run_many(_SPECS, faults=plan)
     assert len(results) == len(_SPECS)
     total_injected = sum(r.results["riscv-boom-accel"].faults_injected
                         for r in results)
@@ -69,8 +56,8 @@ def test_workloads_complete_under_heavy_fault_load():
 
 def test_faulted_throughput_never_exceeds_clean():
     plan = FaultPlan(seed=2, rate=1.0, max_trigger=2)
-    clean = run_many(_SPECS, disk_cache=False, faults=None)
-    faulted = run_many(_SPECS, disk_cache=False, faults=plan)
+    clean = run_many(_SPECS, faults=None)
+    faulted = run_many(_SPECS, faults=plan)
     for c, f in zip(clean, faulted):
         fa = f.results["riscv-boom-accel"]
         if fa.faults_injected:
@@ -79,27 +66,16 @@ def test_faulted_throughput_never_exceeds_clean():
 
 def test_fault_runs_are_reproducible():
     plan = FaultPlan(seed=5, rate=0.5)
-    first = run_many(_SPECS, disk_cache=False, faults=plan)
-    second = run_many(_SPECS, disk_cache=False, faults=plan)
+    first = run_many(_SPECS, faults=plan)
+    second = run_many(_SPECS, faults=plan)
     for a, b in zip(first, second):
         assert dataclasses.asdict(a.results["riscv-boom-accel"]) == \
             dataclasses.asdict(b.results["riscv-boom-accel"])
 
 
-def test_disk_cache_round_trips_fault_counters(tmp_path):
-    plan = FaultPlan(seed=2, rate=1.0, max_trigger=2)
-    spec = _SPECS[0]
-    computed = run_spec(spec, disk_cache=True, cache_dir=tmp_path,
-                        faults=plan)
-    replayed = run_spec(spec, disk_cache=True, cache_dir=tmp_path,
-                        faults=plan)
-    assert dataclasses.asdict(computed.results["riscv-boom-accel"]) == \
-        dataclasses.asdict(replayed.results["riscv-boom-accel"])
-
-
 def test_old_cached_json_without_fault_fields_still_loads():
-    # Pre-fault-subsystem cache entries lack the new counters; the
-    # dataclass defaults must absorb that.
+    # Results built without the fault counters (the software systems,
+    # older callers) rely on the dataclass defaults.
     legacy = {"system": "riscv-boom-accel", "gbits_per_second": 1.0,
               "cycles": 10.0, "wire_bytes": 100}
     result = SystemResult(**legacy)
@@ -109,8 +85,8 @@ def test_old_cached_json_without_fault_fields_still_loads():
 
 def test_degradation_table_renders():
     plan = FaultPlan(seed=2, rate=1.0, max_trigger=2)
-    clean = run_many(_SPECS, disk_cache=False, faults=None)
-    faulted = run_many(_SPECS, disk_cache=False, faults=plan)
+    clean = run_many(_SPECS, faults=None)
+    faulted = run_many(_SPECS, faults=plan)
     table = fault_degradation_table([(0.0, clean), (1.0, faulted)])
     assert "degradation curve" in table
     assert "100.0%" in table

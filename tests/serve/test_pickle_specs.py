@@ -69,7 +69,6 @@ def test_derived_seed_stable_across_pickle():
         want = plan.derive("fabric.shard", str(index))
         got = clone.derive("fabric.shard", str(index))
         assert got == want
-        assert got.fingerprint() == want.fingerprint()
         # Two derivation layers, like a shard deriving its tiles.
         assert (got.derive("serve.tile", "1")
                 == want.derive("serve.tile", "1"))
