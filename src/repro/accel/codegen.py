@@ -5,8 +5,8 @@ The interpretive deserializer/serializer units walk every message
 through generic Python dispatch -- dict lookups, dataclass views, and
 polymorphic helpers per field.  That is faithful to the hardware FSM but
 makes *simulator wall-clock* the bottleneck for fleet-scale sweeps.
-This module compiles each (message type, SoC config, timing params)
-triple into a straight-line Python kernel:
+This module compiles each (message type, charge schedule) pair into a
+straight-line Python kernel:
 
 * the tag switch is unrolled into per-field-number ``elif`` branches on
   the decoded key integer (one branch per expected key, so scalars,
@@ -16,17 +16,20 @@ triple into a straight-line Python kernel:
   :func:`~repro.proto.varint.decode_varint` slow path so error text is
   byte-identical);
 * all per-field constants -- ADT entry addresses, object offsets,
-  hasbits words/masks, cycle charges -- are baked in as literals.
+  hasbits words/masks, cycle charges -- are baked in as literals, the
+  charges read from the same schedule the interpretive FSMs charge by.
 
-**Cycle accounting is bit-identical to the interpreter.**  The kernels
-replay the interpreter's float additions in the same order with the
-same values (charges are emitted with ``repr`` so literals round-trip
-exactly), call the same modelled state (ADT entry cache, TLB, memloader
-startup, memwriter) and raise the same structured errors.  Codegen only
+**Cycle accounting is bit-identical to the interpreter.**  A unit runs a
+kernel in place of its interpretive loop, inside the same per-operation
+charges; the kernels replay the interpreter's float additions in the
+same order with the same values (charges are emitted with ``repr`` so
+literals round-trip exactly), call the same modelled state (ADT entry
+cache, memwriter) and raise the same structured errors.  Codegen only
 changes host wall-clock.
 
 Kernels are cached in a bounded LRU (:data:`CODE_CACHE`) keyed by the
-schema's structural fingerprint plus the config/params reprs, and are
+schema's structural fingerprint plus the charge schedule (devices that
+differ only in knobs no kernel bakes in share one kernel), and are
 invalidated together with the ADT template cache
 (:func:`repro.accel.adt.set_adt_caches_enabled` calls
 :func:`invalidate_kernel_caches`).  Per accelerator instance a
@@ -51,20 +54,19 @@ from repro.accel.adt import (
     _compile_template,
     _oneof_group_ids,
 )
-from repro.accel.deserializer import DeserStats
-from repro.accel.memloader import Memloader
-from repro.accel.memwriter import Memwriter
-from repro.accel.serializer import SerStats
+from repro.accel.deserializer import DeserSchedule
+from repro.accel.serializer import SerSchedule
 from repro.faults.plan import FaultSite
 from repro.memory.layout import LayoutCache
 from repro.proto.descriptor import MessageDescriptor, structural_fingerprint
-from repro.proto.errors import AccelDecodeFault, AccelFault, DecodeError
+from repro.proto.errors import DecodeError
 from repro.proto.types import (
     CPP_SCALAR_BYTES,
     FIXED_WIDTH_BYTES,
     FieldType,
     WireType,
     ZIGZAG_TYPES,
+    wire_type_for,
 )
 from repro.proto.varint import decode_varint, encode_varint
 from repro.proto.wire import encode_tag
@@ -82,11 +84,20 @@ _WTN = ("VARINT", "FIXED64", "LENGTH_DELIMITED", "START_GROUP",
         "END_GROUP", "FIXED32")
 
 _FIXED_TYPES = frozenset(FIXED_WIDTH_BYTES)
+
+#: DeserStats fields the deserializer kernels count in ``a[1:8]``.
+_DESER_COUNTERS = ("fields_parsed", "unknown_fields_skipped", "submessages",
+                   "strings", "repeated_elements", "stack_spills",
+                   "max_stack_depth")
+#: SerStats fields the serializer kernels accumulate in ``s[0:8]``.
+_SER_COUNTERS = ("frontend_cycles", "fsu_cycles", "fields_serialized",
+                 "submessages", "strings", "repeated_elements",
+                 "stack_spills", "max_stack_depth")
 _STRINGISH = frozenset({FieldType.STRING, FieldType.BYTES})
 
 
 # ---------------------------------------------------------------------------
-# Code cache (bounded LRU, keyed by ADT fingerprint + config/timing reprs)
+# Code cache (bounded LRU, keyed by ADT fingerprint + charge schedule)
 # ---------------------------------------------------------------------------
 
 CODE_CACHE_CAPACITY = 64
@@ -301,30 +312,12 @@ class _Writer:
 # ---------------------------------------------------------------------------
 
 
-def _gen_deser_source(descriptor: MessageDescriptor, config, params):
+def _gen_deser_source(descriptor: MessageDescriptor,
+                      schedule: DeserSchedule):
     """Emit the straight-line deserializer module for ``descriptor``."""
     layouts = LayoutCache()
     order, descs = _type_order(descriptor)
     spec = _build_spec(descs, order, layouts)
-    mem = config.memory
-
-    BPB = int(mem.bytes_per_beat)
-    SBPC = _f(mem.stream_bytes_per_cycle)
-    TI = _f(params.typeinfo_hit)
-    DEP16 = _f(mem.dependent_access_cycles(16))
-    DEP24 = _f(mem.dependent_access_cycles(24))
-    DEP32 = _f(mem.dependent_access_cycles(32))
-    PK = _f(params.parse_key)
-    SW = _f(params.scalar_write)
-    SS = _f(params.string_setup)
-    RO = _f(params.repeated_open)
-    RC = _f(params.repeated_close)
-    SUB = _f(params.submsg_setup)
-    SKIP = _f(params.skip_field)
-    FIN = _f(params.message_finish)
-    PVC = _f(1 / params.packed_varints_per_cycle)
-    LIMIT = int(config.context_stack_depth)
-    SPILL = _f(config.stack_spill_cycles)
 
     out = _Writer()
     w = out.w
@@ -345,20 +338,25 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(ind, "w64(r[1], r[2])")
         w(ind, "w64(r[1] + 8, r[3])")
         w(ind, "w64(r[1] + 16, r[4])")
-        w(ind, f"cycles += {RC}")
+        w(ind, f"cycles += {_f(schedule.repeated_close)}")
 
-    def lookup_entry(ind: int, addr_expr: str, dep: str) -> None:
+    def close_open(ind: int) -> None:
+        w(ind, "if r is not None:")
+        close_region(ind + 1)
+        w(ind + 1, "r = None")
+
+    def lookup_entry(ind: int, addr_expr: str, miss: float) -> None:
         w(ind, f"if lookup({addr_expr}):")
-        w(ind + 1, f"cycles += {TI}")
+        w(ind + 1, f"cycles += {_f(schedule.typeinfo_hit)}")
         w(ind, "else:")
-        w(ind + 1, f"cycles += {dep}")
+        w(ind + 1, f"cycles += {_f(miss)}")
 
     def grow(ind: int, width: int) -> None:
         w(ind, "_nc = r[4] * 2")
         w(ind, f"_nd = alloc(_nc * {width}, 8)")
         w(ind, f"_ob = r[3] * {width}")
         w(ind, "mw(_nd, mr(r[2], _ob))")
-        w(ind, f"cycles += -(-_ob // {BPB})")
+        w(ind, f"cycles += -(-_ob // {schedule.bytes_per_beat})")
         w(ind, "r[2] = _nd")
         w(ind, "r[4] = _nc")
 
@@ -377,11 +375,11 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(ind + 1, "if _h:")
         w(ind + 2, f"r = [{number}, _h, r64(_h), r64(_h + 8), "
                    "r64(_h + 16)]")
-        w(ind + 2, f"cycles += {DEP24}")
+        w(ind + 2, f"cycles += {_f(schedule.repeated_reopen)}")
         w(ind + 1, "else:")
         w(ind + 2, "_h = alloc(24, 8)")
         w(ind + 2, f"r = [{number}, _h, alloc({8 * width}, 8), 0, 8]")
-        w(ind + 2, f"cycles += {RO}")
+        w(ind + 2, f"cycles += {_f(schedule.repeated_open)}")
         w(ind + 2, f"w64(obj + {off}, _h)")
 
     def string_body(ind: int, utf8: bool) -> None:
@@ -391,7 +389,7 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(ind, "if ln > slen - pos:")
         w(ind + 1, "raise DecodeError("
                    '"truncated string/bytes payload")')
-        w(ind, f"cycles += {SS}")
+        w(ind, f"cycles += {_f(schedule.string_setup)}")
         w(ind, "sa = alloc(32, 8)")
         w(ind, "if ln <= 15:")
         w(ind + 1, "pl = data[pos:pos + ln]")
@@ -408,7 +406,7 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(ind + 1, "w64(sa + 8, ln)")
         w(ind + 1, "w64(sa + 16, ln)")
         w(ind + 1, "w64(sa + 24, 0)")
-        w(ind, f"cycles += ln / {SBPC}")
+        w(ind, f"cycles += ln / {_f(schedule.stream_bytes_per_cycle)}")
         w(ind, "a[4] += 1")
         if utf8:
             w(ind, "validate(pl)")
@@ -442,27 +440,23 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         varint(ind, "ln")
         w(ind, "if ln > slen - pos:")
         w(ind + 1, 'raise DecodeError("truncated sub-message")')
-        lookup_entry(ind, f"p[{plan_slot}]", DEP32)
+        lookup_entry(ind, f"p[{plan_slot}]", schedule.submsg_header_miss)
+        fresh_ind = ind
         if singular:
             w(ind, f"ex = r64({slot_expr})")
             w(ind, "if ex:")
             w(ind + 1, "ch = ex")
-            w(ind + 1, f"cycles += {SUB}")
+            w(ind + 1, f"cycles += {_f(schedule.submsg_setup)}")
             w(ind, "else:")
-            w(ind + 1, f"ch = alloc({sub_size}, 8)")
-            w(ind + 1, f"fill(ch, {sub_size}, 0)")
-            w(ind + 1, f"w64(ch, p[{plan_slot + 1}])")
-            w(ind + 1, f"w64({slot_expr}, ch)")
-            w(ind + 1, f"cycles += {SUB}")
-        else:
-            w(ind, f"ch = alloc({sub_size}, 8)")
-            w(ind, f"fill(ch, {sub_size}, 0)")
-            w(ind, f"w64(ch, p[{plan_slot + 1}])")
-            w(ind, f"w64({slot_expr}, ch)")
-            w(ind, f"cycles += {SUB}")
+            fresh_ind = ind + 1
+        w(fresh_ind, f"ch = alloc({sub_size}, 8)")
+        w(fresh_ind, f"fill(ch, {sub_size}, 0)")
+        w(fresh_ind, f"w64(ch, p[{plan_slot + 1}])")
+        w(fresh_ind, f"w64({slot_expr}, ch)")
+        w(fresh_ind, f"cycles += {_f(schedule.submsg_setup)}")
         w(ind, "a[3] += 1")
-        w(ind, f"if depth >= {LIMIT}:")
-        w(ind + 1, f"cycles += {SPILL}")
+        w(ind, f"if depth >= {schedule.stack_depth}:")
+        w(ind + 1, f"cycles += {_f(schedule.stack_spill)}")
         w(ind + 1, "a[6] += 1")
         w(ind, "if depth + 1 > a[7]:")
         w(ind + 1, "a[7] = depth + 1")
@@ -471,7 +465,7 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
                f"ch, depth + 1, cycles, {fresh})")
 
     def skip_unknown(ind: int) -> None:
-        w(ind, f"cycles += {SKIP}")
+        w(ind, f"cycles += {_f(schedule.skip_field)}")
         w(ind, "if _wt == 0:")
         varint(ind + 1, "v")
         w(ind, "elif _wt == 1:")
@@ -489,7 +483,7 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(ind + 1, "if ln > slen - pos:")
         w(ind + 2, "raise DecodeError(\"bulk consume ran past end of "
                    "stream (truncated input)\")")
-        w(ind + 1, f"cycles += ln / {SBPC}")
+        w(ind + 1, f"cycles += ln / {_f(schedule.stream_bytes_per_cycle)}")
         w(ind + 1, "pos += ln")
         w(ind, "else:")
         w(ind + 1, "raise DecodeError(f\"cannot skip deprecated wire "
@@ -537,7 +531,7 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(3, "if wd is not None and cycles >= wd:")
         w(4, "raise _dwd(unit, stats, a, cycles)")
         varint(3, "k")
-        w(3, f"cycles += {PK}")
+        w(3, f"cycles += {_f(schedule.parse_key)}")
 
         first = True
         for fd in d.fields:
@@ -548,9 +542,9 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
             entry_expr = f"eb + {eoff}" if eoff else "eb"
             keyword = "if" if first else "elif"
 
-            def branch(wire: WireType):
+            def branch(wire: WireType, keyword: str = keyword):
                 w(3, f"{keyword} k == {number << 3 | int(wire)}:")
-                lookup_entry(4, entry_expr, DEP16)
+                lookup_entry(4, entry_expr, schedule.adt_entry_miss)
                 w(4, "a[1] += 1")
                 hasbit(4, fd)
 
@@ -569,9 +563,7 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
                     submessage_enter(4, "sl", sub_ti, slot, sub_size,
                                      singular=False)
                 else:
-                    w(4, "if r is not None:")
-                    close_region(5)
-                    w(5, "r = None")
+                    close_open(4)
                     submessage_enter(4, f"obj + {off}", sub_ti, slot,
                                      sub_size, singular=True)
             elif ft in _STRINGISH:
@@ -581,70 +573,59 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
                     string_body(4, fd.validate_utf8)
                     append(4, 8, 'sa.to_bytes(8, "little")')
                 else:
-                    w(4, "if r is not None:")
-                    close_region(5)
-                    w(5, "r = None")
+                    close_open(4)
                     string_body(4, fd.validate_utf8)
                     w(4, f"w64(obj + {off}, sa)")
             else:
                 width = CPP_SCALAR_BYTES[ft]
                 is_fixed = ft in _FIXED_TYPES
-                elem_wire = (WireType.FIXED64 if is_fixed and width == 8
-                             else WireType.FIXED32 if is_fixed
-                             else WireType.VARINT)
                 if fd.is_repeated:
                     # Element-wire branch.
-                    branch(elem_wire)
+                    branch(wire_type_for(ft))
                     reopen(4, number, off, width)
                     if is_fixed:
                         fixed_value(4, width, "db")
-                        w(4, f"cycles += {SW}")
+                        w(4, f"cycles += {_f(schedule.scalar_write)}")
                         append(4, width, "db")
                     else:
                         db = varint_value(4, fd)
-                        w(4, f"cycles += {SW}")
+                        w(4, f"cycles += {_f(schedule.scalar_write)}")
                         append(4, width, db)
                     # Packed branch (the unit accepts packed wire for
                     # any repeated numeric, declared packed or not).
-                    w(3, f"elif k == "
-                         f"{number << 3 | int(WireType.LENGTH_DELIMITED)}:")
-                    lookup_entry(4, entry_expr, DEP16)
-                    w(4, "a[1] += 1")
-                    hasbit(4, fd)
+                    branch(WireType.LENGTH_DELIMITED, "elif")
                     reopen(4, number, off, width)
                     varint(4, "ln")
-                    w(4, "cycles += 1.0")
+                    w(4, f"cycles += {_f(schedule.packed_open)}")
                     w(4, "pe = pos + ln")
                     w(4, "if ln > slen - pos:")
                     w(5, 'raise DecodeError("truncated packed field")')
                     w(4, "while pos < pe:")
                     if is_fixed:
                         fixed_value(5, width, "db")
-                        w(5, f"cycles += {_f(width / BPB)}")
+                        w(5, f"cycles += {_f(schedule.packed_fixed[width])}")
                         append(5, width, "db")
                     else:
                         db = varint_value(5, fd)
-                        w(5, f"cycles += {PVC}")
+                        w(5, f"cycles += {_f(schedule.packed_varint)}")
                         append(5, width, db)
                     w(4, "if pos != pe:")
                     w(5, "raise DecodeError("
                          '"packed payload overran its length")')
                 else:
-                    branch(elem_wire)
-                    w(4, "if r is not None:")
-                    close_region(5)
-                    w(5, "r = None")
+                    branch(wire_type_for(ft))
+                    close_open(4)
                     if is_fixed:
                         w(4, f"if slen - pos < {width}:")
                         w(5, 'raise DecodeError'
                              '("truncated fixed-width value")')
                         w(4, f"mw(obj + {off}, data[pos:pos + {width}])")
                         w(4, f"pos += {width}")
-                        w(4, f"cycles += {SW}")
+                        w(4, f"cycles += {_f(schedule.scalar_write)}")
                     else:
                         db = varint_value(4, fd)
                         w(4, f"mw(obj + {off}, {db})")
-                        w(4, f"cycles += {SW}")
+                        w(4, f"cycles += {_f(schedule.scalar_write)}")
             first = False
 
         # Generic fallback: wrong-wire-type keys on defined fields,
@@ -658,10 +639,8 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(5, 'raise DecodeError(f"invalid field number {_fn}")')
         if span:
             w(4, f"if {minf} <= _fn <= {d.max_field_number}:")
-            w(5, f"if lookup(eb + (_fn - {minf}) * {ADT_ENTRY_BYTES}):")
-            w(6, f"cycles += {TI}")
-            w(5, "else:")
-            w(6, f"cycles += {DEP16}")
+            lookup_entry(5, f"eb + (_fn - {minf}) * {ADT_ENTRY_BYTES}",
+                         schedule.adt_entry_miss)
             gfirst = True
             for fd in d.fields:
                 ft = fd.field_type
@@ -675,9 +654,7 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
                     reopen(6, fd.number, layout.field_offsets[fd.number],
                            width)
                 else:
-                    w(6, "if r is not None:")
-                    close_region(7)
-                    w(7, "r = None")
+                    close_open(6)
                 if fd.is_message and not fd.is_repeated:
                     w(6, "raise DecodeError(f\"wire type {_WTN[_wt]} "
                          "does not match a sub-message field\")")
@@ -687,11 +664,11 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
             w(5, "else:")
             skip_unknown(6)
             w(4, "else:")
-            w(5, f"cycles += {TI}")
+            w(5, f"cycles += {_f(schedule.typeinfo_hit)}")
             skip_unknown(5)
         else:
             # No defined entries: every in-range probe misses the table.
-            w(4, f"cycles += {TI}")
+            w(4, f"cycles += {_f(schedule.typeinfo_hit)}")
             skip_unknown(4)
 
         # Frame epilogue.
@@ -700,9 +677,9 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
              '"sub-message parsing overran length", offset=pos)')
         w(2, "if r is not None:")
         close_region(3)
-        w(2, f"cycles += {FIN}")
-        w(2, f"if depth - 1 >= {LIMIT}:")
-        w(3, f"cycles += {SPILL}")
+        w(2, f"cycles += {_f(schedule.message_finish)}")
+        w(2, f"if depth - 1 >= {schedule.stack_depth}:")
+        w(3, f"cycles += {_f(schedule.stack_spill)}")
         w(3, "a[6] += 1")
         for word in range(nwords):
             w(2, f"w64(obj + {hbo + word * 8}, hb[{word}])")
@@ -713,61 +690,38 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
         w(2, "raise")
         w(0)
 
-    # Entry point: mirrors DeserializerUnit.deserialize's fault-free path.
+    # Entry point: DeserializerUnit.deserialize runs it in place of the
+    # interpretive loop and keeps the per-operation charges for both tiers.
     top_layout = layouts.layout(descriptor)
     top_words = max(1, -(-descriptor.field_number_span // 64))
-    w(0, "def _deser_entry(unit, plans, dest, src, slen, hide):")
-    w(1, "stats = DeserStats(wire_bytes=slen)")
-    w(1, f"cycles = {_f(params.dispatch_overhead)}")
+    w(0, "def _deser_entry(unit, plans, loader, dest, stats):")
     w(1, "a = [0.0, 0, 0, 0, 0, 0, 0, 1, 0, 0]")
+    w(1, "cycles = stats.cycles")
+    w(1, "data = loader.prefetched()")
+    w(1, "slen = len(data)")
     w(1, "mem = unit.memory")
-    w(1, "arena = unit._arena")
-    w(1, "tlb_pen = 0.0")
-    w(1, "try:")
-    w(2, "try:")
-    w(3, "tlb_pen = unit._tlb.translate_range(src, "
-         "slen if slen > 1 else 1)")
-    w(3, "loader = Memloader(mem, unit.config.memory, src, slen, "
-         "faults=None)")
-    w(3, "if not hide:")
-    w(4, "cycles += loader.startup_cycles")
-    w(3, "data = loader.prefetched()")
-    w(3, "w64 = mem.write_u64")
-    w(3, "wd = unit.watchdog.budget_cycles "
+    w(1, "w64 = mem.write_u64")
+    w(1, "wd = unit.watchdog.budget_cycles "
          "if unit.watchdog is not None else None")
-    w(3, "z = (mem.read, mem.write, mem.read_u64, w64, mem.fill, "
-         "arena.allocate, unit._adt_cache.lookup, "
+    w(1, "z = (mem.read, mem.write, mem.read_u64, w64, mem.fill, "
+         "unit._arena.allocate, unit._adt_cache.lookup, "
          "unit.utf8_unit.validate, a, wd, stats, unit, plans)")
     for word in range(top_words):
-        w(3, f"w64(dest + {top_layout.hasbits_offset + word * 8}, 0)")
-    w(3, "before = arena.bytes_used")
-    w(3, "pos, cycles = _d0(z, data, slen, 0, slen, dest, 1, cycles, "
+        w(1, f"w64(dest + {top_layout.hasbits_offset + word * 8}, 0)")
+    w(1, "try:")
+    w(2, "pos, cycles = _d0(z, data, slen, 0, slen, dest, 1, cycles, "
          "True)")
-    w(3, "if slen - pos:")
-    w(4, "raise DecodeError("
+    w(2, "if slen - pos:")
+    w(3, "raise DecodeError("
          '"trailing bytes after top-level message", offset=pos)')
-    w(2, "except AccelFault:")
-    w(3, "raise")
-    w(2, "except DecodeError as error:")
-    w(3, "_c = a[0] if a[0] > cycles else cycles")
-    w(3, 'raise AccelDecodeFault.wrap(error, site="deserializer", '
-         "cycle=_c) from error")
+    w(1, "except DecodeError:")
+    w(2, "stats.cycles = a[0] if a[0] > cycles else cycles")
+    w(2, "raise")
     w(1, "finally:")
     w(2, "unit.varint_unit.credit(decodes=a[8], zigzag_ops=a[9])")
-    w(1, "stats.arena_bytes = arena.bytes_used - before")
-    w(1, "stats.cycles = cycles + tlb_pen")
-    w(1, "stats.tlb_penalty_cycles = tlb_pen")
-    w(1, "stats.fields_parsed = a[1]")
-    w(1, "stats.unknown_fields_skipped = a[2]")
-    w(1, "stats.submessages = a[3]")
-    w(1, "stats.strings = a[4]")
-    w(1, "stats.repeated_elements = a[5]")
-    w(1, "stats.stack_spills = a[6]")
-    w(1, "stats.max_stack_depth = a[7]")
-    w(1, "cache = unit._adt_cache")
-    w(1, "stats.adt_cache_hits = cache.hits")
-    w(1, "stats.adt_cache_misses = cache.misses")
-    w(1, "return stats")
+    w(1, "stats.cycles = cycles")
+    for slot, name in enumerate(_DESER_COUNTERS, start=1):
+        w(1, f"stats.{name} = a[{slot}]")
     return out.source(), spec
 
 
@@ -776,22 +730,11 @@ def _gen_deser_source(descriptor: MessageDescriptor, config, params):
 # ---------------------------------------------------------------------------
 
 
-def _gen_ser_source(descriptor: MessageDescriptor, config, params):
+def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
     """Emit the straight-line serializer module for ``descriptor``."""
     layouts = LayoutCache()
     order, descs = _type_order(descriptor)
     spec = _build_spec(descs, order, layouts)
-    mem = config.memory
-
-    BPB = int(mem.bytes_per_beat)
-    FSU = _f(params.fsu_encode)
-    FPF = _f(params.frontend_per_field)
-    SPUSH = _f(params.frontend_submsg_push)
-    SPOP = _f(params.frontend_submsg_pop)
-    DF = _f(params.dispatch_overhead + params.pipeline_fill)
-    UNITS = int(config.field_serializer_units)
-    LIMIT = int(config.context_stack_depth)
-    SPILL = _f(config.stack_spill_cycles)
 
     out = _Writer()
     w = out.w
@@ -825,18 +768,18 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
         w(ind, "_dp = r64(_sa)")
         w(ind, "_sz = r64(_sa + 8)")
         w(ind, "_pl = mr(_dp, _sz)")
-        w(ind, f"_bt = -(-(_sz + 32) // {BPB})")
+        w(ind, f"_bt = -(-(_sz + 32) // {schedule.bytes_per_beat})")
         w(ind, "s[1] += _bt if _bt > 1 else 1.0")
         w(ind, "s[4] += 1")
         w(ind, "push(_pl)")
         w(ind, "s[8] += 1")
         w(ind, "_lb = _B1[_sz] if _sz < 128 else ev(_sz)")
-        w(ind, f"s[1] += {FSU}")
+        w(ind, f"s[1] += {_f(schedule.fsu_encode)}")
         w(ind, "push(_lb)")
         w(ind, f"push({key!r})")
 
     def submsg_child(ind: int, sub_ti: int, key: bytes) -> None:
-        w(ind, f"s[0] += {SPUSH}")
+        w(ind, f"s[0] += {_f(schedule.submsg_push)}")
         w(ind, "s[3] += 1")
         w(ind, "begin()")
         w(ind, f"_s{sub_ti}(zs, _ch, depth + 1)")
@@ -844,7 +787,7 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
         w(ind, "s[8] += 1")
         w(ind, "push(_B1[_ln] if _ln < 128 else ev(_ln))")
         w(ind, f"push({key!r})")
-        w(ind, f"s[0] += {SPOP}")
+        w(ind, f"s[0] += {_f(schedule.submsg_pop)}")
 
     for ti, d in enumerate(descs):
         layout = layouts.layout(d)
@@ -858,8 +801,8 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
              "= zs")
         w(1, "if depth > s[7]:")
         w(2, "s[7] = depth")
-        w(1, f"if depth > {LIMIT}:")
-        w(2, f"s[0] += {SPILL}")
+        w(1, f"if depth > {schedule.stack_depth}:")
+        w(2, f"s[0] += {_f(schedule.stack_spill)}")
         w(2, "s[6] += 1")
         if not span:
             w(1, "return")
@@ -876,10 +819,11 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
             hw, hbit = bit // 64, bit % 64
             w(1, f"if h{hw} >> {hbit} & 1:")
             w(2, "if wd is not None:")
-            w(3, f"_fc = s[1] / {UNITS}")
-            w(3, f"if {DF} + (s[0] if s[0] > _fc else _fc) + tp >= wd:")
+            w(3, f"_fc = s[1] / {schedule.fsu_units}")
+            w(3, f"if {_f(schedule.dispatch_fill)} "
+                 "+ (s[0] if s[0] > _fc else _fc) + tp >= wd:")
             w(4, "raise _swd(unit, stats, s, tp)")
-            w(2, f"s[0] += {FPF}")
+            w(2, f"s[0] += {_f(schedule.frontend_per_field)}")
             w(2, "s[2] += 1")
             if fd.is_message:
                 sub_ti = order[id(fd.message_type)]
@@ -888,7 +832,7 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
                     w(2, f"_hd = r64(obj + {off})")
                     w(2, "_da = r64(_hd)")
                     w(2, "_ct = r64(_hd + 8)")
-                    w(2, f"s[1] += {_f(max(1.0, float(mem.beats(24))))}")
+                    w(2, f"s[1] += {_f(schedule.repeated_header_load)}")
                     w(2, "_kids = [r64(_da + _k * 8) "
                          "for _k in range(_ct)]")
                     w(2, "_i = _ct - 1")
@@ -904,19 +848,19 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
                 w(2, f"_hd = r64(obj + {off})")
                 w(2, "_da = r64(_hd)")
                 w(2, "_ct = r64(_hd + 8)")
-                w(2, f"s[1] += {_f(max(1.0, float(mem.beats(24))))}")
+                w(2, f"s[1] += {_f(schedule.repeated_header_load)}")
                 if fd.packed:
                     key = encode_tag(number, WireType.LENGTH_DELIMITED)
                     w(2, "_cb = arena.cursor")
                     w(2, "_i = _ct - 1")
                     w(2, "while _i >= 0:")
                     w(3, f"_raw = mr(_da + _i * {width}, {width})")
-                    w(3, f"s[1] += {FSU}")
+                    w(3, f"s[1] += {_f(schedule.fsu_encode)}")
                     wire = scalar_wire(3, ft, "_raw")
                     w(3, f"push({wire})")
                     w(3, "_i -= 1")
-                    w(2, f"s[1] += -(-(_ct * {width}) // {BPB}) "
-                         "if _ct else 0.0")
+                    w(2, f"s[1] += -(-(_ct * {width}) "
+                         f"// {schedule.bytes_per_beat}) if _ct else 0.0")
                     w(2, "s[5] += _ct")
                     w(2, "_pn = _cb - arena.cursor")
                     w(2, "s[8] += 1")
@@ -928,26 +872,18 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
                     w(2, "while _i >= 0:")
                     string_field(3, f"r64(_da + _i * 8)", key)
                     w(3, "_i -= 1")
-                    w(2, "s[5] += _ct")
-                    w(2, "if _ct > 0:")
-                    w(3, "s[2] += _ct - 1")
                 else:
-                    is_fixed = ft in _FIXED_TYPES
-                    elem_wire = (WireType.FIXED64
-                                 if is_fixed and width == 8
-                                 else WireType.FIXED32 if is_fixed
-                                 else WireType.VARINT)
-                    key = encode_tag(number, elem_wire)
-                    combo = _f(params.fsu_encode
-                               + max(1.0, float(mem.beats(width))))
+                    key = encode_tag(number, wire_type_for(ft))
                     w(2, "_i = _ct - 1")
                     w(2, "while _i >= 0:")
                     w(3, f"_raw = mr(_da + _i * {width}, {width})")
-                    w(3, f"s[1] += {combo}")
+                    element = schedule.fsu_encode + schedule.scalar_load[width]
+                    w(3, f"s[1] += {_f(element)}")
                     wire = scalar_wire(3, ft, "_raw")
                     w(3, f"push({wire})")
                     w(3, f"push({key!r})")
                     w(3, "_i -= 1")
+                if not fd.packed:
                     w(2, "s[5] += _ct")
                     w(2, "if _ct > 0:")
                     w(3, "s[2] += _ct - 1")
@@ -956,54 +892,32 @@ def _gen_ser_source(descriptor: MessageDescriptor, config, params):
                 string_field(2, f"r64(obj + {off})", key)
             else:
                 width = CPP_SCALAR_BYTES[ft]
-                is_fixed = ft in _FIXED_TYPES
-                elem_wire = (WireType.FIXED64 if is_fixed and width == 8
-                             else WireType.FIXED32 if is_fixed
-                             else WireType.VARINT)
-                key = encode_tag(number, elem_wire)
+                key = encode_tag(number, wire_type_for(ft))
                 w(2, f"_raw = mr(obj + {off}, {width})")
-                w(2, f"s[1] += {_f(max(1.0, float(mem.beats(width))))}")
+                w(2, f"s[1] += {_f(schedule.scalar_load[width])}")
                 wire = scalar_wire(2, ft, "_raw")
-                w(2, f"s[1] += {FSU}")
+                w(2, f"s[1] += {_f(schedule.fsu_encode)}")
                 w(2, f"push({wire})")
                 w(2, f"push({key!r})")
         w(0)
 
-    # Entry point: mirrors SerializerUnit.serialize's fault-free path.
-    w(0, "def _ser_entry(unit, plans, obj_addr):")
-    w(1, "stats = SerStats()")
-    w(1, "arena = unit._arena")
-    w(1, "memwriter = Memwriter(arena, unit.config.memory)")
-    w(1, f"s = [{_f(params.frontend_init)}, 0.0, 0, 0, 0, 0, 0, 0, 0, 0]")
-    w(1, "tp = unit._tlb.translate_range(obj_addr, 64)")
+    # Entry point: SerializerUnit.serialize runs it in place of the
+    # interpretive frontend and keeps the per-operation charges.
+    w(0, "def _ser_entry(unit, plans, obj_addr, memwriter, stats):")
+    w(1, "s = [stats.frontend_cycles, 0.0, 0, 0, 0, 0, 0, 0, 0, 0]")
+    w(1, "tp = stats.tlb_penalty_cycles")
     w(1, "wd = unit.watchdog.budget_cycles "
          "if unit.watchdog is not None else None")
     w(1, "mem = unit.memory")
     w(1, "try:")
     w(2, "zs = (mem.read, mem.read_u64, memwriter.push, "
          "memwriter.begin_message, memwriter.end_message, s, wd, tp, "
-         "unit, stats, arena)")
+         "unit, stats, unit._arena)")
     w(2, "_s0(zs, obj_addr, 1)")
     w(1, "finally:")
     w(2, "unit.varint_unit.credit(encodes=s[8], zigzag_ops=s[9])")
-    w(1, "_, length = memwriter.finish_top_level()")
-    w(1, "stats.output_bytes = length")
-    w(1, "stats.memwriter_cycles = memwriter.cycles")
-    w(1, "stats.frontend_cycles = s[0]")
-    w(1, "stats.fsu_cycles = s[1]")
-    w(1, "stats.fields_serialized = s[2]")
-    w(1, "stats.submessages = s[3]")
-    w(1, "stats.strings = s[4]")
-    w(1, "stats.repeated_elements = s[5]")
-    w(1, "stats.stack_spills = s[6]")
-    w(1, "stats.max_stack_depth = s[7]")
-    w(1, f"_fc = s[1] / {UNITS}")
-    w(1, "_m = s[0] if s[0] > _fc else _fc")
-    w(1, "if memwriter.cycles > _m:")
-    w(2, "_m = memwriter.cycles")
-    w(1, f"stats.cycles = {DF} + _m + tp")
-    w(1, "stats.tlb_penalty_cycles = tp")
-    w(1, "return stats")
+    for slot, name in enumerate(_SER_COUNTERS):
+        w(1, f"stats.{name} = s[{slot}]")
     return out.source(), spec
 
 
@@ -1017,12 +931,6 @@ _GENERATORS = {"deser": _gen_deser_source, "ser": _gen_ser_source}
 def _exec_namespace(source: str, tag: str) -> dict:
     namespace = {
         "DecodeError": DecodeError,
-        "AccelFault": AccelFault,
-        "AccelDecodeFault": AccelDecodeFault,
-        "DeserStats": DeserStats,
-        "SerStats": SerStats,
-        "Memloader": Memloader,
-        "Memwriter": Memwriter,
         "dv": decode_varint,
         "ev": encode_varint,
         "_B1": _B1,
@@ -1035,20 +943,19 @@ def _exec_namespace(source: str, tag: str) -> dict:
     return namespace
 
 
-def compiled_kernel(kind: str, descriptor: MessageDescriptor, config,
-                    params):
-    """Fetch (or generate) the compiled kernel for a schema/config pair.
+def compiled_kernel(kind: str, descriptor: MessageDescriptor, schedule):
+    """Fetch (or generate) the compiled kernel for a schema/schedule pair.
 
     Returns ``(namespace, spec)`` or ``None`` when generation failed
     (the negative result is cached; callers fall back to the
     interpreter)."""
     fingerprint = structural_fingerprint(descriptor)
-    key = (kind, fingerprint, repr(config), repr(params))
+    key = (kind, fingerprint, schedule)
     value = CODE_CACHE.get(key)
     if value is not _MISS:
         return value
     try:
-        source, spec = _GENERATORS[kind](descriptor, config, params)
+        source, spec = _GENERATORS[kind](descriptor, schedule)
         namespace = _exec_namespace(
             source, f"{kind}:{descriptor.full_name}:{fingerprint[:12]}")
         value = (namespace, spec)
@@ -1062,33 +969,34 @@ def compiled_kernel(kind: str, descriptor: MessageDescriptor, config,
 class KernelBinding:
     """Per-unit resolver from ADT address to a ready-to-run kernel.
 
-    Owns a small map ``{adt_addr: (generation, kernel | None)}``;
-    entries recompute when :data:`_GENERATION` moves (cache
-    invalidation) and resolve to ``None`` whenever the live ADT image
-    disagrees with the generator's assumptions."""
+    Owns a small map ``{adt_addr: (generation, schedule, kernel | None)}``;
+    entries recompute when :data:`_GENERATION` moves (cache invalidation)
+    or the unit's schedule is rebuilt, and resolve to ``None`` whenever
+    the live ADT image disagrees with the generator's assumptions."""
 
     def __init__(self, unit, resolver: Callable[[int], MessageDescriptor],
                  kind: str):
         self.unit = unit
         self.resolver = resolver
         self.kind = kind
-        self._kernels: dict[int, tuple[int, Optional[Callable]]] = {}
+        self._kernels: dict[int, tuple] = {}
 
     def kernel_for(self, adt_addr: int) -> Optional[Callable]:
         cached = self._kernels.get(adt_addr)
-        if cached is not None and cached[0] == _GENERATION:
-            return cached[1]
-        kernel = self._build(adt_addr)
-        self._kernels[adt_addr] = (_GENERATION, kernel)
+        schedule = self.unit.schedule
+        if (cached is not None and cached[0] == _GENERATION
+                and cached[1] is schedule):
+            return cached[2]
+        kernel = self._build(adt_addr, schedule)
+        self._kernels[adt_addr] = (_GENERATION, schedule, kernel)
         return kernel
 
-    def _build(self, adt_addr: int) -> Optional[Callable]:
+    def _build(self, adt_addr: int, schedule) -> Optional[Callable]:
         try:
             descriptor = self.resolver(adt_addr)
         except KeyError:
             return None
-        compiled = compiled_kernel(self.kind, descriptor, self.unit.config,
-                                   self.unit.params)
+        compiled = compiled_kernel(self.kind, descriptor, schedule)
         if compiled is None:
             return None
         namespace, spec = compiled

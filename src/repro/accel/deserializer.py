@@ -24,7 +24,7 @@ with reads on the independent write channel).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.accel import tiers
 from repro.accel.adt import AdtEntry, AdtView
@@ -41,7 +41,13 @@ from repro.proto.errors import (
     DecodeError,
     WatchdogAbort,
 )
-from repro.proto.types import CPP_SCALAR_BYTES, FieldType, WireType
+from repro.proto.types import (
+    CPP_SCALAR_BYTES,
+    FIXED_WIDTH_BYTES,
+    FieldType,
+    WireType,
+    wire_type_for,
+)
 from repro.proto.varint import decode_signed
 from repro.soc.config import SoCConfig
 from repro.soc.tlb import Tlb
@@ -76,6 +82,65 @@ class DeserTimingParams:
     #: design's combinational unit handles one varint per cycle
     #: (Section 4.4.4); a wider speculative decoder is an ablation.
     packed_varints_per_cycle: float = 1.0
+
+
+@dataclass(frozen=True)
+class DeserSchedule:
+    """Every static per-state charge of the deserializer, derived once.
+
+    Built from ``(SoCConfig, DeserTimingParams)`` by :meth:`build`; the
+    interpretive FSM charges by entry name and the codegen tier bakes the
+    same entries in as literals, so each cost formula has one owner.
+    Entries are named after the FSM states of docs/MODEL.md.
+    """
+
+    dispatch: float
+    parse_key: float
+    typeinfo_hit: float
+    adt_entry_miss: float        # dependent 16 B ADT entry load
+    submsg_header_miss: float    # dependent 32 B sub-ADT header load
+    repeated_reopen: float       # dependent 24 B re-read of a closed header
+    skip_field: float
+    scalar_write: float
+    string_setup: float
+    stream_bytes_per_cycle: float
+    repeated_open: float
+    repeated_close: float
+    packed_open: float           # packed-length decode
+    packed_varint: float
+    packed_fixed: tuple          # per element, indexed by width in bytes
+    submsg_setup: float
+    message_finish: float
+    stack_spill: float
+    stack_depth: int
+    bytes_per_beat: int
+
+    @classmethod
+    def build(cls, config: SoCConfig,
+              params: DeserTimingParams) -> "DeserSchedule":
+        mem = config.memory
+        return cls(
+            dispatch=params.dispatch_overhead,
+            parse_key=params.parse_key,
+            typeinfo_hit=params.typeinfo_hit,
+            adt_entry_miss=mem.dependent_access_cycles(16),
+            submsg_header_miss=mem.dependent_access_cycles(32),
+            repeated_reopen=mem.dependent_access_cycles(24),
+            skip_field=params.skip_field,
+            scalar_write=params.scalar_write,
+            string_setup=params.string_setup,
+            stream_bytes_per_cycle=mem.stream_bytes_per_cycle,
+            repeated_open=params.repeated_open,
+            repeated_close=params.repeated_close,
+            packed_open=1.0,
+            packed_varint=1 / params.packed_varints_per_cycle,
+            packed_fixed=tuple(width / mem.bytes_per_beat
+                               for width in range(9)),
+            submsg_setup=params.submsg_setup,
+            message_finish=params.message_finish,
+            stack_spill=config.stack_spill_cycles,
+            stack_depth=config.context_stack_depth,
+            bytes_per_beat=mem.bytes_per_beat)
 
 
 @dataclass
@@ -179,7 +244,7 @@ class DeserializerUnit:
                  timing: DeserTimingParams | None = None):
         self.memory = memory
         self.config = config or SoCConfig()
-        self.params = timing or DeserTimingParams()
+        self.params = timing or DeserTimingParams()  # builds self.schedule
         self.varint_unit = CombinationalVarintUnit()
         self.utf8_unit = Utf8ValidationUnit()
         self._arena: AcceleratorArena | None = None
@@ -192,6 +257,17 @@ class DeserializerUnit:
         #: KernelBinding installed by the driver (repro.accel.codegen);
         #: None runs interpreted.
         self.codegen = None
+
+    @property
+    def params(self) -> DeserTimingParams:
+        return self._params
+
+    @params.setter
+    def params(self, params: DeserTimingParams) -> None:
+        """Reassigning the timing params (as the ablations do) rebuilds the
+        charge schedule both tiers read; operations never rebuild it."""
+        self._params = params
+        self.schedule = DeserSchedule.build(self.config, params)
 
     # -- RoCC-visible operations ------------------------------------------------
 
@@ -223,22 +299,22 @@ class DeserializerUnit:
         if self._arena is None:
             raise RuntimeError(
                 "no accelerator arena assigned; issue deser_assign_arena")
+        kernel = None
         if self.codegen is not None and self.faults is None:
             # Specialized straight-line kernel: bit-identical cycles and
             # errors, host wall-clock only.  With faults attached the
-            # interpretive FSM below runs instead so every named fault
-            # site still fires.
+            # interpretive FSM runs instead so every named fault site
+            # still fires.
             kernel = self.codegen.kernel_for(adt_addr)
-            if kernel is not None:
-                tiers.note("deser", "codegen")
-                return kernel(dest_addr, src_addr, src_len, hide_startup)
-        tiers.note("deser", "interp")
+        tiers.note("deser", "interp" if kernel is None else "codegen")
         stats = DeserStats(wire_bytes=src_len)
         if self.faults is not None:
             # Each call is one hardware attempt; bind its stats so any
             # fault fired during it carries an accurate cycle stamp.
             self.faults.begin_attempt(stats)
-        stats.cycles += self.params.dispatch_overhead
+        cache = self._adt_cache
+        hits_before, misses_before = cache.hits, cache.misses
+        stats.cycles += self.schedule.dispatch
         try:
             stats.tlb_penalty_cycles += self._tlb.translate_range(
                 src_addr, max(src_len, 1))
@@ -246,45 +322,11 @@ class DeserializerUnit:
                                src_len, faults=self.faults)
             if not hide_startup:
                 stats.cycles += loader.startup_cycles
-            top = _Frame(adt=AdtView(self.memory, adt_addr),
-                         obj_addr=dest_addr, end_consumed=src_len)
-            self._init_hasbits(top)
-            stack: list[_Frame] = [top]
-            stats.max_stack_depth = 1
             arena_before = self._arena.bytes_used
-            while stack:
-                frame = stack[-1]
-                if loader.consumed >= frame.end_consumed:
-                    if loader.consumed > frame.end_consumed:
-                        raise DecodeError(
-                            "sub-message parsing overran length",
-                            offset=loader.consumed)
-                    self._close_open_repeated(frame, stats)
-                    stats.cycles += self.params.message_finish
-                    stack.pop()
-                    if len(stack) >= self.config.context_stack_depth:
-                        stats.cycles += self.config.stack_spill_cycles
-                        stats.stack_spills += 1
-                    continue
-                if self.faults is not None:
-                    self.faults.poll(FaultSite.DESER_ABORT)
-                    try:
-                        self.faults.poll(FaultSite.DESER_HANG)
-                    except AccelFault as hang:
-                        # The FSM stops progressing here and spins; the
-                        # watchdog's budget bounds the damage.
-                        raise self._watchdog_fire(FaultSite.DESER_HANG,
-                                                  stats, hang) from hang
-                if (self.watchdog is not None
-                        and stats.cycles >= self.watchdog.budget_cycles):
-                    raise self._watchdog_fire(FaultSite.DESER_HANG, stats,
-                                              None)
-                self._handle_field(loader, stack, stats)
-                stats.max_stack_depth = max(stats.max_stack_depth,
-                                            len(stack))
-            if loader.remaining:
-                raise DecodeError("trailing bytes after top-level message",
-                                  offset=loader.consumed)
+            if kernel is None:
+                self._run_fsm(loader, adt_addr, dest_addr, stats)
+            else:
+                kernel(loader, dest_addr, stats)
         except AccelFault:
             raise
         except DecodeError as error:
@@ -296,9 +338,49 @@ class DeserializerUnit:
                                         cycle=stats.cycles) from error
         stats.arena_bytes = self._arena.bytes_used - arena_before
         stats.cycles += stats.tlb_penalty_cycles
-        stats.adt_cache_hits = self._adt_cache.hits
-        stats.adt_cache_misses = self._adt_cache.misses
+        stats.adt_cache_hits = cache.hits - hits_before
+        stats.adt_cache_misses = cache.misses - misses_before
         return stats
+
+    def _run_fsm(self, loader: Memloader, adt_addr: int, dest_addr: int,
+                 stats: DeserStats) -> None:
+        """The interpretive field-handler loop over one message."""
+        schedule = self.schedule
+        top = _Frame(adt=AdtView(self.memory, adt_addr), obj_addr=dest_addr,
+                     end_consumed=loader.remaining)
+        self._init_hasbits(top)
+        stack: list[_Frame] = [top]
+        stats.max_stack_depth = 1
+        while stack:
+            frame = stack[-1]
+            if loader.consumed >= frame.end_consumed:
+                if loader.consumed > frame.end_consumed:
+                    raise DecodeError("sub-message parsing overran length",
+                                      offset=loader.consumed)
+                self._close_open_repeated(frame, stats)
+                stats.cycles += schedule.message_finish
+                stack.pop()
+                if len(stack) >= schedule.stack_depth:
+                    stats.cycles += schedule.stack_spill
+                    stats.stack_spills += 1
+                continue
+            if self.faults is not None:
+                self.faults.poll(FaultSite.DESER_ABORT)
+                try:
+                    self.faults.poll(FaultSite.DESER_HANG)
+                except AccelFault as hang:
+                    # The FSM stops progressing here and spins; the
+                    # watchdog's budget bounds the damage.
+                    raise self._watchdog_fire(FaultSite.DESER_HANG, stats,
+                                              hang) from hang
+            if (self.watchdog is not None
+                    and stats.cycles >= self.watchdog.budget_cycles):
+                raise self._watchdog_fire(FaultSite.DESER_HANG, stats, None)
+            self._handle_field(loader, stack, stats)
+            stats.max_stack_depth = max(stats.max_stack_depth, len(stack))
+        if loader.remaining:
+            raise DecodeError("trailing bytes after top-level message",
+                              offset=loader.consumed)
 
     def _watchdog_fire(self, site: FaultSite, stats,
                        hang: AccelFault | None) -> AccelFault:
@@ -330,7 +412,7 @@ class DeserializerUnit:
         # parseKey state: combinational decode over the 10-byte window.
         key, key_len = self.varint_unit.decode(loader.peek())
         loader.consume(key_len)
-        stats.cycles += self.params.parse_key
+        stats.cycles += self.schedule.parse_key
         field_number = key >> 3
         try:
             wire_type = WireType(key & 7)
@@ -395,20 +477,17 @@ class DeserializerUnit:
             # Parity check over the fetched ADT entry line.
             self.faults.poll(FaultSite.ADT_ENTRY)
         entry_addr = adt.entry_address(field_number)
-        if entry_addr is None:
-            # Out-of-range numbers never had an entry; the range check is
-            # combinational against the header's min/max.
-            stats.cycles += self.params.typeinfo_hit
-            return None
-        if self._adt_cache.lookup(entry_addr):
-            stats.cycles += self.params.typeinfo_hit
+        # Out-of-range numbers never had an entry; the range check is
+        # combinational against the header's min/max.
+        if entry_addr is None or self._adt_cache.lookup(entry_addr):
+            stats.cycles += self.schedule.typeinfo_hit
         else:
-            stats.cycles += self.config.memory.dependent_access_cycles(16)
+            stats.cycles += self.schedule.adt_entry_miss
         return adt.entry(field_number)
 
     def _skip_unknown(self, loader: Memloader, wire_type: WireType,
                       stats: DeserStats) -> None:
-        stats.cycles += self.params.skip_field
+        stats.cycles += self.schedule.skip_field
         if wire_type is WireType.VARINT:
             _, length = self.varint_unit.decode(loader.peek())
             loader.consume(length)
@@ -419,8 +498,8 @@ class DeserializerUnit:
         elif wire_type is WireType.LENGTH_DELIMITED:
             length, consumed = self.varint_unit.decode(loader.peek())
             loader.consume(consumed)
-            _, cycles = loader.consume_bulk(length)
-            stats.cycles += cycles
+            loader.consume_bulk(length)
+            stats.cycles += length / self.schedule.stream_bytes_per_cycle
         else:
             raise DecodeError(
                 f"cannot skip deprecated wire type {wire_type.name}")
@@ -434,11 +513,8 @@ class DeserializerUnit:
         ft = entry.field_type
         assert ft is not None
         width = CPP_SCALAR_BYTES[ft]
-        if ft in (FieldType.DOUBLE, FieldType.FIXED64, FieldType.SFIXED64,
-                  FieldType.FLOAT, FieldType.FIXED32, FieldType.SFIXED32):
-            expected = (WireType.FIXED64 if width == 8
-                        else WireType.FIXED32)
-            if wire_type is not expected:
+        if ft in FIXED_WIDTH_BYTES:
+            if wire_type is not wire_type_for(ft):
                 raise DecodeError(
                     f"wire type {wire_type.name} does not match "
                     f"{ft.value}")
@@ -466,7 +542,7 @@ class DeserializerUnit:
                       stats: DeserStats) -> None:
         data = self._decode_scalar_bytes(loader, entry, wire_type, stats)
         self.memory.write(slot_addr, data)
-        stats.cycles += self.params.scalar_write
+        stats.cycles += self.schedule.scalar_write
 
     # -- strings ------------------------------------------------------------------
 
@@ -486,23 +562,22 @@ class DeserializerUnit:
             # so a corrupt length faults cleanly instead of draining the
             # arena.
             raise DecodeError("truncated string/bytes payload")
-        stats.cycles += self.params.string_setup
+        stats.cycles += self.schedule.string_setup
         addr = self._arena.allocate(STRING_OBJECT_BYTES, 8)
+        payload, _ = loader.consume_bulk(length)
         if length <= SSO_CAPACITY:
             data_ptr = addr + 16
-            payload, copy_cycles = loader.consume_bulk(length)
             self.memory.write_u64(addr, data_ptr)
             self.memory.write_u64(addr + 8, length)
             self.memory.write(addr + 16, bytes(payload).ljust(16, b"\x00"))
         else:
             data_ptr = self._arena.allocate(length, 8)
-            payload, copy_cycles = loader.consume_bulk(length)
             self.memory.write(data_ptr, payload)
             self.memory.write_u64(addr, data_ptr)
             self.memory.write_u64(addr + 8, length)
             self.memory.write_u64(addr + 16, length)
             self.memory.write_u64(addr + 24, 0)
-        stats.cycles += copy_cycles
+        stats.cycles += length / self.schedule.stream_bytes_per_cycle
         stats.strings += 1
         if entry is not None and entry.utf8_validate:
             self.utf8_unit.validate(payload)
@@ -511,19 +586,10 @@ class DeserializerUnit:
     # -- repeated fields -----------------------------------------------------------
 
     def _open_repeated(self, frame: _Frame, field_number: int,
-                       entry: AdtEntry, stats: DeserStats) -> _OpenRepeated:
+                       entry: AdtEntry, width: int,
+                       stats: DeserStats) -> _OpenRepeated:
         """Open a tagged allocation region (Section 4.4.8)."""
         assert self._arena is not None
-        if frame.open_repeated is not None:
-            if frame.open_repeated.field_number == field_number:
-                return frame.open_repeated
-            self._close_open_repeated(frame, stats)
-        ft = entry.field_type
-        assert ft is not None
-        if ft in (FieldType.STRING, FieldType.BYTES, FieldType.MESSAGE):
-            width = 8
-        else:
-            width = CPP_SCALAR_BYTES[ft]
         header = self._arena.allocate(_REPEATED_HEADER_BYTES, 8)
         initial = 8
         data = self._arena.allocate(initial * width, 8)
@@ -531,7 +597,7 @@ class DeserializerUnit:
                                header_addr=header, data_addr=data,
                                element_width=width, capacity=initial)
         frame.open_repeated = region
-        stats.cycles += self.params.repeated_open
+        stats.cycles += self.schedule.repeated_open
         # Write the parent's field slot immediately so duplicate openings
         # (same field number appearing again after a close) find the header.
         self.memory.write_u64(frame.obj_addr + entry.field_offset, header)
@@ -547,18 +613,20 @@ class DeserializerUnit:
         old_bytes = region.count * region.element_width
         self.memory.write(new_data, self.memory.read(region.data_addr,
                                                      old_bytes))
-        stats.cycles += self.config.memory.beats(old_bytes)
+        stats.cycles += -(-old_bytes // self.schedule.bytes_per_beat)
         region.data_addr = new_data
         region.capacity = new_capacity
 
-    def _append_element_bytes(self, region: _OpenRepeated, data: bytes,
-                              stats: DeserStats) -> None:
+    def _append_slot(self, region: _OpenRepeated,
+                     stats: DeserStats) -> int:
+        """Claim the open region's next element slot, growing it first if
+        it is full; returns the slot's address."""
         if region.count >= region.capacity:
             self._grow_repeated(region, stats)
-        self.memory.write(
-            region.data_addr + region.count * region.element_width, data)
+        slot = region.data_addr + region.count * region.element_width
         region.count += 1
         stats.repeated_elements += 1
+        return slot
 
     def _close_open_repeated(self, frame: _Frame,
                              stats: DeserStats) -> None:
@@ -568,7 +636,7 @@ class DeserializerUnit:
         self.memory.write_u64(region.header_addr, region.data_addr)
         self.memory.write_u64(region.header_addr + 8, region.count)
         self.memory.write_u64(region.header_addr + 16, region.capacity)
-        stats.cycles += self.params.repeated_close
+        stats.cycles += self.schedule.repeated_close
         frame.open_repeated = None
 
     def _reopen_if_closed(self, frame: _Frame, field_number: int,
@@ -584,6 +652,12 @@ class DeserializerUnit:
             return region
         if region is not None:
             self._close_open_repeated(frame, stats)
+        ft = entry.field_type
+        assert ft is not None
+        if ft in (FieldType.STRING, FieldType.BYTES, FieldType.MESSAGE):
+            width = 8
+        else:
+            width = CPP_SCALAR_BYTES[ft]
         slot = frame.obj_addr + entry.field_offset
         header = self.memory.read_u64(slot)
         word, bit = self._hasbit_position(frame, field_number)
@@ -592,22 +666,16 @@ class DeserializerUnit:
                                  + frame.adt.hasbits_offset + word * 8)
             >> bit & 1)
         if header != 0 and already_present:
-            ft = entry.field_type
-            assert ft is not None
-            if ft in (FieldType.STRING, FieldType.BYTES, FieldType.MESSAGE):
-                width = 8
-            else:
-                width = CPP_SCALAR_BYTES[ft]
             region = _OpenRepeated(
                 field_number=field_number, entry=entry, header_addr=header,
                 data_addr=self.memory.read_u64(header),
                 element_width=width,
                 count=self.memory.read_u64(header + 8),
                 capacity=self.memory.read_u64(header + 16))
-            stats.cycles += self.config.memory.dependent_access_cycles(24)
+            stats.cycles += self.schedule.repeated_reopen
             frame.open_repeated = region
             return region
-        return self._open_repeated(frame, field_number, entry, stats)
+        return self._open_repeated(frame, field_number, entry, width, stats)
 
     def _handle_repeated_element(self, loader: Memloader, frame: _Frame,
                                  field_number: int, entry: AdtEntry,
@@ -622,22 +690,17 @@ class DeserializerUnit:
                 f"wire type {wire_type.name} does not match {ft.value}")
         if ft in (FieldType.STRING, FieldType.BYTES):
             addr = self._handle_string(loader, stats, entry)
-            self._append_element_bytes(region, addr.to_bytes(8, "little"),
-                                       stats)
+            self.memory.write(self._append_slot(region, stats),
+                              addr.to_bytes(8, "little"))
             return
         if ft is FieldType.MESSAGE:
-            if region.count >= region.capacity:
-                self._grow_repeated(region, stats)
-            slot = region.data_addr + region.count * region.element_width
-            region.count += 1
-            stats.repeated_elements += 1
             self._enter_submessage(loader, frame, entry, stats, stack,
-                                   dest_slot=slot,
+                                   dest_slot=self._append_slot(region, stats),
                                    field_number=field_number)
             return
         data = self._decode_scalar_bytes(loader, entry, wire_type, stats)
-        stats.cycles += self.params.scalar_write
-        self._append_element_bytes(region, data, stats)
+        stats.cycles += self.schedule.scalar_write
+        self.memory.write(self._append_slot(region, stats), data)
 
     def _handle_packed(self, loader: Memloader, frame: _Frame,
                        field_number: int, entry: AdtEntry,
@@ -647,29 +710,23 @@ class DeserializerUnit:
         region = self._reopen_if_closed(frame, field_number, entry, stats)
         length, consumed = self.varint_unit.decode(loader.peek())
         loader.consume(consumed)
-        stats.cycles += 1
+        stats.cycles += self.schedule.packed_open
         end = loader.consumed + length
         if end > loader.consumed + loader.remaining:
             raise DecodeError("truncated packed field")
         ft = entry.field_type
         assert ft is not None
-        element_wire = (
-            WireType.VARINT if CPP_SCALAR_BYTES.get(ft) is not None
-            and ft not in (FieldType.FLOAT, FieldType.DOUBLE,
-                           FieldType.FIXED32, FieldType.FIXED64,
-                           FieldType.SFIXED32, FieldType.SFIXED64)
-            else (WireType.FIXED32
-                  if CPP_SCALAR_BYTES[ft] == 4 else WireType.FIXED64))
+        element_wire = wire_type_for(ft)
+        # Packed fixed-width elements stream at the full window rate;
+        # varints decode one per cycle through the combinational unit.
+        per_element = (self.schedule.packed_varint
+                       if element_wire is WireType.VARINT
+                       else self.schedule.packed_fixed[CPP_SCALAR_BYTES[ft]])
         while loader.consumed < end:
             data = self._decode_scalar_bytes(loader, entry, element_wire,
                                              stats)
-            # Packed fixed-width elements stream at the full window rate;
-            # varints decode one per cycle through the combinational unit.
-            if element_wire is WireType.VARINT:
-                stats.cycles += 1 / self.params.packed_varints_per_cycle
-            else:
-                stats.cycles += len(data) / self.config.memory.bytes_per_beat
-            self._append_element_bytes(region, data, stats)
+            stats.cycles += per_element
+            self.memory.write(self._append_slot(region, stats), data)
         if loader.consumed != end:
             raise DecodeError("packed payload overran its length")
 
@@ -692,9 +749,9 @@ class DeserializerUnit:
             raise DecodeError("truncated sub-message")
         sub_adt = AdtView(self.memory, entry.sub_adt_ptr)
         if self._adt_cache.lookup(entry.sub_adt_ptr):
-            stats.cycles += self.params.typeinfo_hit
+            stats.cycles += self.schedule.typeinfo_hit
         else:
-            stats.cycles += self.config.memory.dependent_access_cycles(32)
+            stats.cycles += self.schedule.submsg_header_miss
         existing = self.memory.read_u64(dest_slot)
         reuse = False
         if existing != 0 and not entry.repeated:
@@ -706,18 +763,17 @@ class DeserializerUnit:
             # proto2 merge semantics: a second occurrence of a singular
             # sub-message field keeps populating the existing object.
             child_addr = existing
-            stats.cycles += self.params.submsg_setup
         else:
             object_size = sub_adt.object_size
             child_addr = self._arena.allocate(object_size, 8)
             self.memory.fill(child_addr, object_size, 0)
             self.memory.write_u64(child_addr, sub_adt.default_vptr)
             self.memory.write_u64(dest_slot, child_addr)
-            stats.cycles += self.params.submsg_setup
             stats.arena_bytes += object_size
+        stats.cycles += self.schedule.submsg_setup
         stats.submessages += 1
-        if len(stack) >= self.config.context_stack_depth:
-            stats.cycles += self.config.stack_spill_cycles
+        if len(stack) >= self.schedule.stack_depth:
+            stats.cycles += self.schedule.stack_spill
             stats.stack_spills += 1
         child = _Frame(adt=sub_adt, obj_addr=child_addr,
                        end_consumed=loader.consumed + length)

@@ -32,7 +32,12 @@ from repro.memory.arena import SerializerArena
 from repro.memory.layout import read_string_object
 from repro.memory.memspace import SimMemory
 from repro.proto.errors import AccelFault, WatchdogAbort
-from repro.proto.types import CPP_SCALAR_BYTES, FieldType, WireType
+from repro.proto.types import (
+    CPP_SCALAR_BYTES,
+    FieldType,
+    WireType,
+    wire_type_for,
+)
 from repro.proto.varint import encode_signed
 from repro.proto.wire import encode_tag
 from repro.soc.config import SoCConfig
@@ -61,6 +66,58 @@ class SerTimingParams:
     frontend_submsg_pop: float = 1.0
     #: FSU encode slot per field (combinational varint/key generation).
     fsu_encode: float = 1.0
+
+
+@dataclass(frozen=True)
+class SerSchedule:
+    """Every static per-stage charge of the serializer, derived once.
+
+    Built from ``(SoCConfig, SerTimingParams)`` by :meth:`build`; the
+    interpretive pipeline charges by entry name and the codegen tier bakes
+    the same entries in as literals (see :class:`DeserSchedule`).
+    """
+
+    dispatch_fill: float         # RoCC dispatch + pipeline fill
+    frontend_init: float
+    frontend_per_field: float
+    submsg_push: float
+    submsg_pop: float
+    fsu_encode: float
+    scalar_load: tuple           # indexed by width in bytes
+    repeated_header_load: float  # 24 B header of a repeated field
+    fsu_units: int
+    stack_spill: float
+    stack_depth: int
+    bytes_per_beat: int
+
+    @classmethod
+    def build(cls, config: SoCConfig,
+              params: SerTimingParams) -> "SerSchedule":
+        mem = config.memory
+        return cls(
+            dispatch_fill=params.dispatch_overhead + params.pipeline_fill,
+            frontend_init=params.frontend_init,
+            frontend_per_field=params.frontend_per_field,
+            submsg_push=params.frontend_submsg_push,
+            submsg_pop=params.frontend_submsg_pop,
+            fsu_encode=params.fsu_encode,
+            scalar_load=tuple(max(1.0, float(mem.beats(width)))
+                              for width in range(9)),
+            repeated_header_load=max(1.0, float(mem.beats(24))),
+            fsu_units=config.field_serializer_units,
+            stack_spill=config.stack_spill_cycles,
+            stack_depth=config.context_stack_depth,
+            bytes_per_beat=mem.bytes_per_beat)
+
+    def stage_total(self, stats: "SerStats") -> float:
+        """The decoupled stages overlap: an operation costs the slowest
+        stage's total plus dispatch, fill and TLB penalty.  Before the
+        memwriter total is recorded this is the watchdog's progress
+        clock."""
+        return (self.dispatch_fill
+                + max(stats.frontend_cycles, stats.fsu_cycles / self.fsu_units,
+                      stats.memwriter_cycles)
+                + stats.tlb_penalty_cycles)
 
 
 @dataclass
@@ -112,7 +169,7 @@ class SerializerUnit:
                  timing: SerTimingParams | None = None):
         self.memory = memory
         self.config = config or SoCConfig()
-        self.params = timing or SerTimingParams()
+        self.params = timing or SerTimingParams()  # builds self.schedule
         self.varint_unit = CombinationalVarintUnit()
         self._arena: SerializerArena | None = None
         self._tlb = Tlb(self.config.tlb_entries, self.config.ptw_cycles)
@@ -123,6 +180,17 @@ class SerializerUnit:
         #: KernelBinding installed by the driver (repro.accel.codegen);
         #: None runs interpreted.
         self.codegen = None
+
+    @property
+    def params(self) -> SerTimingParams:
+        return self._params
+
+    @params.setter
+    def params(self, params: SerTimingParams) -> None:
+        """Reassigning the timing params rebuilds the charge schedule
+        (see DeserializerUnit.params)."""
+        self._params = params
+        self.schedule = SerSchedule.build(self.config, params)
 
     # -- RoCC-visible operations -----------------------------------------------
 
@@ -145,43 +213,29 @@ class SerializerUnit:
         if self._arena is None:
             raise RuntimeError(
                 "no serializer arena assigned; issue ser_assign_arena")
+        kernel = None
         if self.codegen is not None and self.faults is None:
             # Specialized straight-line kernel (see DeserializerUnit).
             kernel = self.codegen.kernel_for(adt_addr)
-            if kernel is not None:
-                tiers.note("ser", "codegen")
-                return kernel(obj_addr)
-        tiers.note("ser", "interp")
+        tiers.note("ser", "interp" if kernel is None else "codegen")
         stats = SerStats()
         if self.faults is not None:
             self.faults.begin_attempt(stats)
             # The frontend's first object-image read is a bus transaction.
             self.faults.poll(FaultSite.BUS_STALL)
         memwriter = Memwriter(self._arena, self.config.memory)
-        adt = AdtView(self.memory, adt_addr)
-        stats.frontend_cycles += self.params.frontend_init
+        stats.frontend_cycles += self.schedule.frontend_init
         stats.tlb_penalty_cycles += self._tlb.translate_range(obj_addr, 64)
-        self._serialize_message(adt, obj_addr, memwriter, stats, depth=1)
+        if kernel is None:
+            self._serialize_message(AdtView(self.memory, adt_addr), obj_addr,
+                                    memwriter, stats, depth=1)
+        else:
+            kernel(obj_addr, memwriter, stats)
         _, length = memwriter.finish_top_level()
         stats.output_bytes = length
         stats.memwriter_cycles = memwriter.cycles
-        stats.cycles = (self.params.dispatch_overhead
-                        + self.params.pipeline_fill
-                        + max(stats.frontend_cycles,
-                              stats.fsu_cycles
-                              / self.config.field_serializer_units,
-                              stats.memwriter_cycles)
-                        + stats.tlb_penalty_cycles)
+        stats.cycles = self.schedule.stage_total(stats)
         return stats
-
-    def _op_cycles(self, stats: SerStats) -> float:
-        """Running cycle estimate of the in-flight operation (the final
-        memwriter total is not known mid-flight; the decoupled-stage max
-        over the frontend/FSU totals is the watchdog's progress clock)."""
-        return (self.params.dispatch_overhead + self.params.pipeline_fill
-                + max(stats.frontend_cycles,
-                      stats.fsu_cycles / self.config.field_serializer_units)
-                + stats.tlb_penalty_cycles)
 
     def _watchdog_fire(self, stats: SerStats,
                        hang: AccelFault | None) -> AccelFault:
@@ -191,7 +245,8 @@ class SerializerUnit:
             assert hang is not None
             return hang
         self.watchdog.aborts += 1
-        cycle = max(self._op_cycles(stats), self.watchdog.budget_cycles)
+        cycle = max(self.schedule.stage_total(stats),
+                    self.watchdog.budget_cycles)
         kind = "hung" if hang is not None else "runaway"
         return WatchdogAbort(
             f"watchdog aborted {kind} serializer pipeline "
@@ -229,8 +284,8 @@ class SerializerUnit:
                            memwriter: Memwriter, stats: SerStats,
                            depth: int) -> None:
         stats.max_stack_depth = max(stats.max_stack_depth, depth)
-        if depth > self.config.context_stack_depth:
-            stats.frontend_cycles += self.config.stack_spill_cycles
+        if depth > self.schedule.stack_depth:
+            stats.frontend_cycles += self.schedule.stack_spill
             stats.stack_spills += 1
         for number in self._present_numbers_reverse(adt, obj_addr, stats):
             if self.faults is not None:
@@ -241,12 +296,13 @@ class SerializerUnit:
                     raise self._watchdog_fire(stats, hang) from hang
                 self.faults.poll(FaultSite.ADT_ENTRY)
             if (self.watchdog is not None
-                    and self._op_cycles(stats) >= self.watchdog.budget_cycles):
+                    and self.schedule.stage_total(stats)
+                    >= self.watchdog.budget_cycles):
                 raise self._watchdog_fire(stats, None)
             entry = adt.entry(number)
             if entry is None or not entry.defined:
                 continue
-            stats.frontend_cycles += self.params.frontend_per_field
+            stats.frontend_cycles += self.schedule.frontend_per_field
             stats.fields_serialized += 1
             self._serialize_field(adt, obj_addr, number, entry, memwriter,
                                   stats, depth)
@@ -272,17 +328,6 @@ class SerializerUnit:
             return
         self._serialize_scalar(slot, number, entry, memwriter, stats)
 
-    def _load_scalar_payload(self, slot: int, entry: AdtEntry,
-                             stats: SerStats) -> tuple[bytes, int]:
-        """Load one inline scalar; returns (raw C++ bytes, width)."""
-        ft = entry.field_type
-        assert ft is not None
-        width = CPP_SCALAR_BYTES[ft]
-        raw = self.memory.read(slot, width)
-        stats.fsu_cycles += max(1.0,
-                                float(self.config.memory.beats(width)))
-        return raw, width
-
     def _scalar_wire_bytes(self, entry: AdtEntry, raw: bytes) -> bytes:
         """Encode the C++ value bytes of one element into wire bytes."""
         ft = entry.field_type
@@ -300,23 +345,14 @@ class SerializerUnit:
             payload = encode_signed(value)
         return self.varint_unit.encode(payload)
 
-    def _element_wire_type(self, entry: AdtEntry) -> WireType:
-        ft = entry.field_type
-        assert ft is not None
-        if ft in (FieldType.DOUBLE, FieldType.FIXED64, FieldType.SFIXED64):
-            return WireType.FIXED64
-        if ft in (FieldType.FLOAT, FieldType.FIXED32, FieldType.SFIXED32):
-            return WireType.FIXED32
-        if ft in (FieldType.STRING, FieldType.BYTES, FieldType.MESSAGE):
-            return WireType.LENGTH_DELIMITED
-        return WireType.VARINT
-
     def _serialize_scalar(self, slot: int, number: int, entry: AdtEntry,
                           memwriter: Memwriter, stats: SerStats) -> None:
-        raw, _ = self._load_scalar_payload(slot, entry, stats)
+        width = CPP_SCALAR_BYTES[entry.field_type]
+        raw = self.memory.read(slot, width)
+        stats.fsu_cycles += self.schedule.scalar_load[width]
         wire = self._scalar_wire_bytes(entry, raw)
-        key = encode_tag(number, self._element_wire_type(entry))
-        stats.fsu_cycles += self.params.fsu_encode
+        key = encode_tag(number, wire_type_for(entry.field_type))
+        stats.fsu_cycles += self.schedule.fsu_encode
         # High-to-low output: push the value, then the key above it.
         memwriter.push(wire)
         memwriter.push(key)
@@ -325,12 +361,12 @@ class SerializerUnit:
                           memwriter: Memwriter, stats: SerStats) -> None:
         view = read_string_object(self.memory, string_addr)
         stats.fsu_cycles += max(
-            1.0, float(self.config.memory.beats(view.size + 32)))
+            1.0, float(-(-(view.size + 32) // self.schedule.bytes_per_beat)))
         stats.strings += 1
         memwriter.push(view.payload)
         length = self.varint_unit.encode(view.size)
         key = encode_tag(number, WireType.LENGTH_DELIMITED)
-        stats.fsu_cycles += self.params.fsu_encode
+        stats.fsu_cycles += self.schedule.fsu_encode
         memwriter.push(length)
         memwriter.push(key)
 
@@ -339,7 +375,7 @@ class SerializerUnit:
         header = self.memory.read_u64(slot)
         data_addr = self.memory.read_u64(header)
         count = self.memory.read_u64(header + 8)
-        stats.fsu_cycles += max(1.0, float(self.config.memory.beats(24)))
+        stats.fsu_cycles += self.schedule.repeated_header_load
         ft = entry.field_type
         assert ft is not None
         if ft in (FieldType.STRING, FieldType.BYTES):
@@ -350,16 +386,16 @@ class SerializerUnit:
             cursor_before = memwriter.arena.cursor
             for index in range(count - 1, -1, -1):
                 raw = self.memory.read(data_addr + index * width, width)
-                stats.fsu_cycles += self.params.fsu_encode
+                stats.fsu_cycles += self.schedule.fsu_encode
                 memwriter.push(self._scalar_wire_bytes(entry, raw))
             stats.fsu_cycles += float(
-                self.config.memory.beats(count * width))
+                -(-(count * width) // self.schedule.bytes_per_beat))
             stats.repeated_elements += count
             payload_len = cursor_before - memwriter.arena.cursor
             memwriter.push(self.varint_unit.encode(payload_len))
             memwriter.push(encode_tag(number, WireType.LENGTH_DELIMITED))
             return
-        key = encode_tag(number, self._element_wire_type(entry))
+        key = encode_tag(number, wire_type_for(ft))
         for index in range(count - 1, -1, -1):
             element_addr = data_addr + index * width
             if ft in (FieldType.STRING, FieldType.BYTES):
@@ -367,8 +403,8 @@ class SerializerUnit:
                                        number, memwriter, stats)
             else:
                 raw = self.memory.read(element_addr, width)
-                stats.fsu_cycles += self.params.fsu_encode + max(
-                    1.0, float(self.config.memory.beats(width)))
+                stats.fsu_cycles += (self.schedule.fsu_encode
+                                     + self.schedule.scalar_load[width])
                 memwriter.push(self._scalar_wire_bytes(entry, raw))
                 memwriter.push(key)
         stats.repeated_elements += count
@@ -383,15 +419,14 @@ class SerializerUnit:
             header = self.memory.read_u64(slot)
             data_addr = self.memory.read_u64(header)
             count = self.memory.read_u64(header + 8)
-            stats.fsu_cycles += max(1.0,
-                                    float(self.config.memory.beats(24)))
+            stats.fsu_cycles += self.schedule.repeated_header_load
             children = [self.memory.read_u64(data_addr + i * 8)
                         for i in range(count)]
         else:
             children = [self.memory.read_u64(slot)]
         key = encode_tag(number, WireType.LENGTH_DELIMITED)
         for child_addr in reversed(children):
-            stats.frontend_cycles += self.params.frontend_submsg_push
+            stats.frontend_cycles += self.schedule.submsg_push
             stats.submessages += 1
             memwriter.begin_message()
             self._serialize_message(sub_adt, child_addr, memwriter, stats,
@@ -401,4 +436,4 @@ class SerializerUnit:
             # length is known (the reason output is written high-to-low).
             memwriter.push(self.varint_unit.encode(length))
             memwriter.push(key)
-            stats.frontend_cycles += self.params.frontend_submsg_pop
+            stats.frontend_cycles += self.schedule.submsg_pop

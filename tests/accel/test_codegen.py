@@ -11,11 +11,15 @@ import pytest
 
 from repro.accel import adt, codegen, perf
 from repro.accel.codegen import KernelCodeCache
+from repro.accel.deserializer import DeserTimingParams
 from repro.accel.driver import ProtoAccelerator
 from repro.faults import FaultPlan, FaultSite
+from repro.memory.timing import MemoryTimingModel
 from repro.proto import parse_schema
 from repro.proto.decoder import parse_message
 from repro.proto.descriptor import FieldDescriptor, MessageDescriptor
+from repro.soc.config import SoCConfig
+from repro.soc.pcie import PcieParams
 
 _SCHEMA = parse_schema("""
     message Inner { optional int64 v = 1; optional string tag = 2; }
@@ -133,6 +137,20 @@ def test_code_cache_hits_across_accelerator_instances():
     hits, misses, _, _ = codegen.cache_counters()
     assert hits > 0, "second accelerator should reuse compiled kernels"
     assert misses == misses_after_first
+    # The key is the charge schedule: a PCIe device that also differs in
+    # every knob no kernel bakes in reuses the RoCC device's kernel.
+    pcie = _accel(fast_path="codegen", config=SoCConfig(
+        transport="pcie", pcie=PcieParams(ring_depth=512),
+        tlb_entries=8, ptw_cycles=120, clock_hz=1.0e9, fence_cycles=20,
+        rocc_dispatch_cycles=6))
+    pcie.deserializer.params = DeserTimingParams(adt_cache_entries=16)
+    pcie.deserialize(_SCHEMA["Probe"], wire)
+    assert codegen.cache_counters()[:2] == (hits + 1, misses)
+    # A knob the kernels do bake in compiles a kernel of its own.
+    narrow = _accel(fast_path="codegen", config=SoCConfig(
+        memory=MemoryTimingModel(bytes_per_beat=8)))
+    narrow.deserialize(_SCHEMA["Probe"], wire)
+    assert codegen.cache_counters()[1] == misses + 1
 
 
 def test_code_cache_is_bounded_lru(monkeypatch):

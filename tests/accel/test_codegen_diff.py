@@ -4,9 +4,10 @@ The specialized tier's contract is total behavioural equivalence -- on
 arbitrary valid messages, on adversarially mutated wire, and on the
 PR 2 known-bad vector corpus, the two accelerator tiers must produce
 identical messages, identical modeled stats (cycles included), and
-identical structured errors.  A final set forces every named fault site
-with ``fast_path="codegen"`` requested, proving the driver's bypass
-keeps the whole injection surface reachable.
+identical structured errors -- under the default device and under
+variants of the knobs the ablations sweep.  A final set forces every
+named fault site with ``fast_path="codegen"`` requested, proving the
+driver's bypass keeps the whole injection surface reachable.
 """
 
 from pathlib import Path
@@ -15,9 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.accel import driver as driver_mod
+from repro.accel.deserializer import DeserTimingParams
 from repro.accel.driver import ProtoAccelerator
+from repro.accel.serializer import SerTimingParams
 from repro.faults import FaultPlan, FaultSite, TRANSIENT_SITES
 from repro.faults.plan import PCIE_SITES
+from repro.memory.timing import MemoryTimingModel
 from repro.proto import parse_schema
 from repro.soc.config import SoCConfig
 from repro.proto.decoder import parse_message
@@ -29,24 +33,62 @@ _SETTINGS = settings(max_examples=30, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
-def _accel_pair(schema):
+#: Device setups both tiers must agree under: (SoC config, deserializer
+#: params, serializer params).  Besides the defaults, two variants move
+#: the knobs the kernels bake in: bus beat width, a shallow context stack
+#: with an odd spill cost, packed-varint decode width, FSU count, and
+#: non-integer (non-dyadic) FSM costs, so a charge added in a different
+#: order or rounded differently on one tier shows up.
+_SETUPS = {
+    "default": (SoCConfig(), DeserTimingParams(), SerTimingParams()),
+    "narrow-beat": (
+        SoCConfig(memory=MemoryTimingModel(bytes_per_beat=8),
+                  context_stack_depth=1, stack_spill_cycles=7,
+                  field_serializer_units=3),
+        DeserTimingParams(parse_key=1.1, typeinfo_hit=0.7,
+                          string_setup=2.3, submsg_setup=3.3,
+                          repeated_open=1.7, repeated_close=0.9,
+                          dispatch_overhead=11.5,
+                          packed_varints_per_cycle=3.0),
+        SerTimingParams(frontend_per_field=1.3, fsu_encode=0.7,
+                        frontend_submsg_push=2.1, pipeline_fill=1.9)),
+    "wide-beat": (
+        SoCConfig(memory=MemoryTimingModel(bytes_per_beat=32),
+                  context_stack_depth=2, stack_spill_cycles=13,
+                  field_serializer_units=7),
+        DeserTimingParams(scalar_write=1.3, skip_field=0.6,
+                          message_finish=1.9,
+                          packed_varints_per_cycle=0.7),
+        SerTimingParams(frontend_init=2.7, frontend_submsg_pop=1.1,
+                        fsu_encode=1.3, dispatch_overhead=3.3)),
+}
+
+
+def _accel_pair(schema, setup="default"):
+    config, deser_params, ser_params = _SETUPS[setup]
     pair = []
     for fast_path in ("interp", "codegen"):
-        device = ProtoAccelerator(deser_arena_bytes=1 << 20,
+        device = ProtoAccelerator(config=config,
+                                  deser_arena_bytes=1 << 20,
                                   ser_arena_bytes=1 << 20,
                                   fast_path=fast_path)
+        # Set after construction, the way benchmarks/bench_ablation.py
+        # varies them.
+        device.deserializer.params = deser_params
+        device.serializer.params = ser_params
         device.register_schema(schema)
         pair.append(device)
     return pair
 
 
+@pytest.mark.parametrize("setup", _SETUPS)
 @_SETTINGS
 @given(schema_and_message())
-def test_valid_messages_identical_across_tiers(pair):
+def test_valid_messages_identical_across_tiers(setup, pair):
     schema, message = pair
     from repro.proto.encoder import serialize_message
     wire = serialize_message(message, check_required=False)
-    interp, codegen = _accel_pair(schema)
+    interp, codegen = _accel_pair(schema, setup)
     interp_result = interp.deserialize(schema["Root"], wire)
     codegen_result = codegen.deserialize(schema["Root"], wire)
     assert codegen_result.stats == interp_result.stats
@@ -65,13 +107,14 @@ def test_valid_messages_identical_across_tiers(pair):
     assert codegen_ser.stats == interp_ser.stats
 
 
+@pytest.mark.parametrize("setup", _SETUPS)
 @_SETTINGS
 @given(schema_wire_and_mutant())
-def test_mutated_wire_verdicts_identical(triple):
+def test_mutated_wire_verdicts_identical(setup, triple):
     """Both tiers accept or both reject -- and on rejection the error
     type, message text, and fault site all match."""
     schema, _, mutant = triple
-    interp, codegen = _accel_pair(schema)
+    interp, codegen = _accel_pair(schema, setup)
     outcomes = []
     for device in (interp, codegen):
         try:

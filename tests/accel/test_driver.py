@@ -79,6 +79,26 @@ class TestBatching:
         assert all(output == m.serialize() for output in outputs)
         assert stats.output_bytes == 4 * len(m.serialize())
 
+    @pytest.mark.parametrize("fast_path", ["interp", "codegen"])
+    def test_batch_adt_cache_stats_are_per_operation(self, schema,
+                                                     fast_path):
+        """A batch reports the lookups it made, not the unit's lifetime
+        counters, even after earlier operations on the same device."""
+        accel = ProtoAccelerator(fast_path=fast_path)
+        accel.register_schema(schema)
+        m = schema["M"].new_message()
+        m["x"] = 7
+        m["s"] = "abc"
+        wire = m.serialize()
+        for _ in range(3):
+            accel.deserialize(schema["M"], wire)
+        cache = accel.deserializer._adt_cache
+        hits, misses = cache.hits, cache.misses
+        _, stats = accel.deserialize_batch(schema["M"], [wire] * 4)
+        assert stats.adt_cache_hits == cache.hits - hits
+        assert stats.adt_cache_misses == cache.misses - misses
+        assert stats.adt_cache_hits + stats.adt_cache_misses > 0
+
     def test_empty_batch_charges_only_the_fence(self, schema):
         accel = ProtoAccelerator()
         accel.register_schema(schema)
