@@ -3,10 +3,10 @@
 
 Runs a fixed subset of the evaluation -- the four Figure 11 classes,
 the Section 5.1.3 sweep, and HyperProtoBench's bench0 (both operations)
--- twice: once serial with every cache disabled (the pre-optimisation
-baseline), once with the memoisation caches and requested job count
-(the shipped path).  Writes wall-clock seconds, the speedup,
-cache hit rates, and the job count to ``BENCH_harness.json``.
+-- twice: once serial with every memo disabled (the pre-optimisation
+baseline), once with the memos and requested job count (the shipped
+path).  Writes wall-clock seconds, the speedup, per-memo hit/miss
+counters, and the job count to ``BENCH_harness.json``.
 
 ``--serve`` switches to the resilient-serving benchmark instead: an
 offered-load sweep through the 2-tile deadline-gated server
@@ -73,6 +73,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -81,11 +82,11 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.accel import adt, driver                         # noqa: E402
+from repro import memo                                      # noqa: E402
+from repro.accel import driver                              # noqa: E402
 from repro.accel.perf import render_memoization_line        # noqa: E402
 from repro.bench import harness                             # noqa: E402
 from repro.bench.harness import WorkloadSpec, run_many      # noqa: E402
-from repro.cpu import model                                 # noqa: E402
 from repro.faults import FaultPlan                          # noqa: E402
 
 
@@ -104,23 +105,9 @@ def subset_specs(micro_batch: int, hyper_batch: int) -> list[WorkloadSpec]:
     return specs
 
 
-def clear_memo_caches() -> None:
-    for cache in (model.DESER_CYCLE_CACHE, model.SER_CYCLE_CACHE,
-                  driver.DESER_BATCH_CACHE, driver.SER_BATCH_CACHE):
-        cache.clear()
-
-
-def set_caches(enabled: bool) -> None:
-    model.set_cycle_cache_enabled(enabled)
-    driver.set_batch_cache_enabled(enabled)
-    harness.set_workload_cache_enabled(enabled)
-    adt.set_adt_caches_enabled(enabled)
-
-
 def timed_run(specs, jobs: int, caches: bool,
               faults: FaultPlan | None = None) -> tuple[float, list]:
-    clear_memo_caches()
-    set_caches(caches)
+    memo.clear_all()
     # One entry point shared with ``python -m repro.bench``: install
     # the harness options (the same ones the shared pool initializer
     # pushes into each worker) and let run_many inherit them, instead
@@ -128,21 +115,12 @@ def timed_run(specs, jobs: int, caches: bool,
     previous = harness.get_options()
     harness.set_options(jobs=jobs, fault_plan=faults)
     try:
-        start = time.perf_counter()
-        results = run_many(specs)
-        return time.perf_counter() - start, results
+        with contextlib.nullcontext() if caches else memo.disabled():
+            start = time.perf_counter()
+            results = run_many(specs)
+            return time.perf_counter() - start, results
     finally:
         harness._OPTIONS = previous
-        set_caches(True)
-
-
-def hit_rates() -> dict[str, float]:
-    return {
-        "cpu_deser": model.DESER_CYCLE_CACHE.hit_rate,
-        "cpu_ser": model.SER_CYCLE_CACHE.hit_rate,
-        "accel_deser": driver.DESER_BATCH_CACHE.hit_rate,
-        "accel_ser": driver.SER_BATCH_CACHE.hit_rate,
-    }
 
 
 def run_serving_bench(args: argparse.Namespace) -> int:
@@ -905,11 +883,11 @@ def main(argv: list[str]) -> int:
     if args.jobs > 1:
         # Memo-cache counters live in the worker processes; the
         # parent's are empty and would misreport as 0%.
-        rates = None
+        counters = None
         print("memo caches: per-worker (hit rates not aggregated "
               "across processes)")
     else:
-        rates = hit_rates()
+        counters = memo.counters()
         print(render_memoization_line())
 
     for want, got in zip(serial_results, fast_results):
@@ -936,7 +914,7 @@ def main(argv: list[str]) -> int:
         "serial_uncached_seconds": serial_s,
         "cached_seconds": fast_s,
         "speedup": speedup,
-        "cache_hit_rates": rates,
+        "memo_counters": counters,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n",
                            encoding="utf-8")

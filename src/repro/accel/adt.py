@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.memo import MISS, Memo
 from repro.memory.layout import LayoutCache, MessageLayout
 from repro.memory.memspace import SimMemory
 from repro.proto.descriptor import MessageDescriptor, structural_fingerprint
@@ -83,28 +84,8 @@ class AdtTemplate:
     oneof_header: bytes
 
 
-#: Process-wide compiled-ADT cache, keyed by structural fingerprint.
-_TEMPLATE_CACHE: dict[str, AdtTemplate] = {}
-
-#: Gates both the template cache and AdtView's decoded-entry memoisation
-#: (the host-side caches; the modelled hardware ADT entry cache and its
-#: cycle accounting are always on).
-_CACHES_ENABLED = True
-
-
-def set_adt_caches_enabled(enabled: bool) -> None:
-    global _CACHES_ENABLED
-    _CACHES_ENABLED = bool(enabled)
-    if not enabled:
-        _TEMPLATE_CACHE.clear()
-    # The specialized-kernel code cache is keyed off the same compiled
-    # templates; invalidate it whenever the ADT caches are toggled.
-    from repro.accel import codegen
-    codegen.invalidate_kernel_caches()
-
-
-def clear_template_cache() -> None:
-    _TEMPLATE_CACHE.clear()
+#: Compiled ADT templates, keyed by structural fingerprint.
+_TEMPLATES = Memo("adt-template")
 
 
 def _compile_template(descriptor: MessageDescriptor,
@@ -216,8 +197,6 @@ class AdtBuilder:
         self.layouts = layout_cache
         self._addresses: dict[int, int] = {}
         self._descriptors: dict[int, MessageDescriptor] = {}
-        self.template_hits = 0
-        self.template_misses = 0
 
     def adt_address(self, descriptor: MessageDescriptor) -> int:
         try:
@@ -264,18 +243,11 @@ class AdtBuilder:
         memory = self.memory
         addr = self._addresses[id(descriptor)]
         layout = self.layouts.layout(descriptor)
-        if _CACHES_ENABLED:
-            fingerprint = structural_fingerprint(descriptor)
-            template = _TEMPLATE_CACHE.get(fingerprint)
-            if template is None:
-                self.template_misses += 1
-                template = _compile_template(descriptor, layout)
-                _TEMPLATE_CACHE[fingerprint] = template
-            else:
-                self.template_hits += 1
-        else:
-            self.template_misses += 1
+        fingerprint = structural_fingerprint(descriptor)
+        template = _TEMPLATES.get(fingerprint)
+        if template is MISS:
             template = _compile_template(descriptor, layout)
+            _TEMPLATES.put(fingerprint, template)
         # Header region: per-instance fields, then the cached oneof table.
         memory.write_u64(addr, layout.vptr)
         memory.write_u64(addr + 8, layout.object_size)
@@ -313,16 +285,14 @@ class AdtView:
     def __init__(self, memory: SimMemory, addr: int):
         self.memory = memory
         self.addr = addr
-        header = (memory.decode_cache_get(("adt-h", addr))
-                  if _CACHES_ENABLED else None)
+        header = memory.decode_cache_get(("adt-h", addr))
         if header is None:
             header = (memory.read_u64(addr), memory.read_u64(addr + 8),
                       memory.read_u64(addr + 16),
                       memory.read_u32(addr + 24),
                       memory.read_u32(addr + 28))
-            if _CACHES_ENABLED:
-                memory.decode_cache_put(("adt-h", addr), addr,
-                                        ADT_HEADER_BYTES, header)
+            memory.decode_cache_put(("adt-h", addr), addr,
+                                    ADT_HEADER_BYTES, header)
         (self._vptr, self._object_size, self._hasbits_offset,
          self._min_field, self._max_field) = header
 
@@ -367,10 +337,9 @@ class AdtView:
         entry_addr = self.entry_address(field_number)
         if entry_addr is None:
             return None
-        if _CACHES_ENABLED:
-            cached = self.memory.decode_cache_get(("adt-e", entry_addr))
-            if cached is not None:
-                return cached
+        cached = self.memory.decode_cache_get(("adt-e", entry_addr))
+        if cached is not None:
+            return cached
         raw = self.memory.read(entry_addr, ADT_ENTRY_BYTES)
         type_code = raw[0]
         if type_code == UNDEFINED_TYPE_CODE:
@@ -389,9 +358,8 @@ class AdtView:
                 utf8_validate=bool(flags & FLAG_UTF8),
                 oneof_group=int.from_bytes(raw[2:4], "little"),
             )
-        if _CACHES_ENABLED:
-            self.memory.decode_cache_put(
-                ("adt-e", entry_addr), entry_addr, ADT_ENTRY_BYTES, entry)
+        self.memory.decode_cache_put(
+            ("adt-e", entry_addr), entry_addr, ADT_ENTRY_BYTES, entry)
         return entry
 
     def oneof_mask(self, group_id: int) -> tuple[int, int]:
@@ -410,11 +378,9 @@ class AdtView:
         index = field_number - self.min_field_number
         word_addr = (self.addr + ADT_HEADER_BYTES
                      + self.span * ADT_ENTRY_BYTES + index // 64 * 8)
-        word = (self.memory.decode_cache_get(("adt-b", word_addr))
-                if _CACHES_ENABLED else None)
+        word = self.memory.decode_cache_get(("adt-b", word_addr))
         if word is None:
             word = self.memory.read_u64(word_addr)
-            if _CACHES_ENABLED:
-                self.memory.decode_cache_put(
-                    ("adt-b", word_addr), word_addr, 8, word)
+            self.memory.decode_cache_put(
+                ("adt-b", word_addr), word_addr, 8, word)
         return bool(word >> index % 64 & 1)

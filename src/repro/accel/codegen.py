@@ -27,24 +27,21 @@ literals round-trip exactly), call the same modelled state (ADT entry
 cache, memwriter) and raise the same structured errors.  Codegen only
 changes host wall-clock.
 
-Kernels are cached in a bounded LRU (:data:`CODE_CACHE`) keyed by the
+Kernels are memoised in a bounded LRU (:data:`CODE_CACHE`) keyed by the
 schema's structural fingerprint plus the charge schedule (devices that
-differ only in knobs no kernel bakes in share one kernel), and are
-invalidated together with the ADT template cache
-(:func:`repro.accel.adt.set_adt_caches_enabled` calls
-:func:`invalidate_kernel_caches`).  Per accelerator instance a
-*binding* resolves the compiled kernel against the live ADT image --
-validating header fields and every entry byte-for-byte against the
-image the generator assumed -- so a corrupted or mismatched ADT simply
-falls back to the interpreter.  When a fault plan is armed the driver
-never installs bindings at all: every one of the 11 named fault sites
-keeps firing through the interpretive path.
+differ only in knobs no kernel bakes in share one kernel).  Per
+accelerator instance a *binding* resolves the compiled kernel against
+the live ADT image -- validating header fields and every entry
+byte-for-byte against the image the generator assumed -- so a
+corrupted or mismatched ADT simply falls back to the interpreter.  When
+a fault plan is armed the driver never installs bindings at all: every
+one of the 11 named fault sites keeps firing through the interpretive
+path.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.accel.adt import (
@@ -57,6 +54,7 @@ from repro.accel.adt import (
 from repro.accel.deserializer import DeserSchedule
 from repro.accel.serializer import SerSchedule
 from repro.faults.plan import FaultSite
+from repro.memo import MISS, Memo
 from repro.memory.layout import LayoutCache
 from repro.proto.descriptor import MessageDescriptor, structural_fingerprint
 from repro.proto.errors import DecodeError
@@ -96,71 +94,11 @@ _SER_COUNTERS = ("frontend_cycles", "fsu_cycles", "fields_serialized",
 _STRINGISH = frozenset({FieldType.STRING, FieldType.BYTES})
 
 
-# ---------------------------------------------------------------------------
-# Code cache (bounded LRU, keyed by ADT fingerprint + charge schedule)
-# ---------------------------------------------------------------------------
-
-CODE_CACHE_CAPACITY = 64
-
-_MISS = object()
-
-
-class KernelCodeCache:
-    """Bounded LRU of compiled kernel namespaces.
-
-    Values are ``(namespace, spec)`` tuples, or ``None`` for schemas the
-    generator declined (the negative result is cached too, so the
-    interpreter fallback stays cheap).  Hit/miss counters are exported
-    through :mod:`repro.accel.perf`.
-    """
-
-    def __init__(self, capacity: int = CODE_CACHE_CAPACITY):
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple):
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return self._entries[key]
-        self.misses += 1
-        return _MISS
-
-    def put(self, key: tuple, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-CODE_CACHE = KernelCodeCache()
-
-#: Bumped on every invalidation; bindings recompile when it moves.
-_GENERATION = 0
-
-
-def invalidate_kernel_caches() -> None:
-    """Drop compiled kernels and force bindings to re-resolve.
-
-    Called by :func:`repro.accel.adt.set_adt_caches_enabled` so the code
-    cache invalidates together with the ADT template/view caches."""
-    global _GENERATION
-    _GENERATION += 1
-    CODE_CACHE.clear()
-
-
-def cache_counters() -> tuple[int, int, int, int]:
-    """(hits, misses, live entries, capacity) of the kernel code cache."""
-    return CODE_CACHE.hits, CODE_CACHE.misses, len(CODE_CACHE), \
-        CODE_CACHE.capacity
+#: Compiled kernel namespaces, keyed by ``(kind, fingerprint, schedule)``.
+#: Values are ``(namespace, spec)``, or ``None`` for schemas the generator
+#: declined (the negative result is memoised too, so the interpreter
+#: fallback stays cheap).
+CODE_CACHE = Memo("codegen", 64)
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +890,7 @@ def compiled_kernel(kind: str, descriptor: MessageDescriptor, schedule):
     fingerprint = structural_fingerprint(descriptor)
     key = (kind, fingerprint, schedule)
     value = CODE_CACHE.get(key)
-    if value is not _MISS:
+    if value is not MISS:
         return value
     try:
         source, spec = _GENERATORS[kind](descriptor, schedule)
@@ -969,10 +907,10 @@ def compiled_kernel(kind: str, descriptor: MessageDescriptor, schedule):
 class KernelBinding:
     """Per-unit resolver from ADT address to a ready-to-run kernel.
 
-    Owns a small map ``{adt_addr: (generation, schedule, kernel | None)}``;
-    entries recompute when :data:`_GENERATION` moves (cache invalidation)
-    or the unit's schedule is rebuilt, and resolve to ``None`` whenever
-    the live ADT image disagrees with the generator's assumptions."""
+    Owns a small map ``{adt_addr: (schedule, kernel | None)}``; entries
+    recompute when the unit's schedule is rebuilt, and resolve to
+    ``None`` whenever the live ADT image disagrees with the generator's
+    assumptions."""
 
     def __init__(self, unit, resolver: Callable[[int], MessageDescriptor],
                  kind: str):
@@ -984,11 +922,10 @@ class KernelBinding:
     def kernel_for(self, adt_addr: int) -> Optional[Callable]:
         cached = self._kernels.get(adt_addr)
         schedule = self.unit.schedule
-        if (cached is not None and cached[0] == _GENERATION
-                and cached[1] is schedule):
-            return cached[2]
+        if cached is not None and cached[0] is schedule:
+            return cached[1]
         kernel = self._build(adt_addr, schedule)
-        self._kernels[adt_addr] = (_GENERATION, schedule, kernel)
+        self._kernels[adt_addr] = (schedule, kernel)
         return kernel
 
     def _build(self, adt_addr: int, schedule) -> Optional[Callable]:

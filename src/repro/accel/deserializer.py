@@ -564,7 +564,7 @@ class DeserializerUnit:
             raise DecodeError("truncated string/bytes payload")
         stats.cycles += self.schedule.string_setup
         addr = self._arena.allocate(STRING_OBJECT_BYTES, 8)
-        payload, _ = loader.consume_bulk(length)
+        payload = loader.consume_bulk(length)
         if length <= SSO_CAPACITY:
             data_ptr = addr + 16
             self.memory.write_u64(addr, data_ptr)

@@ -16,10 +16,7 @@ application linked against the paper's modified protobuf library follows:
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.accel.adt import AdtBuilder
 from repro.accel.dataops import DataOpStats, MessageOpsUnit
@@ -45,78 +42,6 @@ from repro.soc.bus import SystemBus
 from repro.soc.config import SoCConfig
 from repro.soc.rocc import RoccFunct, RoccInstruction
 from repro.soc.transport import build_transport
-
-
-def buffers_digest(buffers) -> bytes:
-    """Order-sensitive digest of a batch of wire buffers."""
-    hasher = hashlib.blake2b(digest_size=16)
-    for data in buffers:
-        hasher.update(len(data).to_bytes(8, "little"))
-        hasher.update(data)
-    return hasher.digest()
-
-
-class BatchCycleCache:
-    """Batch-level cycle memoisation for accelerator operations.
-
-    Within one operation the accelerator's cycle count depends on unit
-    state that carries across the batch (warm ADT entry cache, TLB
-    contents, arena fill), so individual operations are *not* memoised.
-    A whole batch, however, is deterministic: a fresh accelerator given
-    the same (SoC config, message type, ordered wire buffers) always
-    produces the same aggregate stats.  This cache replays those verified
-    aggregates, keyed by config repr + descriptor structural
-    fingerprint + buffer digest.  See docs/PERF.md.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict[tuple, tuple] = {}
-
-    def make_key(self, config: SoCConfig, descriptor_fp: str,
-                 digest: bytes) -> tuple:
-        # Dataclass repr renders every knob (including the nested memory
-        # timing model) deterministically.
-        return (repr(config), descriptor_fp, digest)
-
-    def lookup(self, key: tuple) -> Optional[tuple]:
-        if not self.enabled:
-            return None
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        stats, extra = entry
-        return dataclasses.replace(stats), extra
-
-    def store(self, key: tuple, stats, extra=None) -> None:
-        if self.enabled:
-            self._entries[key] = (dataclasses.replace(stats), extra)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-#: Process-wide accelerator batch cycle caches.
-DESER_BATCH_CACHE = BatchCycleCache("accel-deser")
-SER_BATCH_CACHE = BatchCycleCache("accel-ser")
-
-
-def set_batch_cache_enabled(enabled: bool) -> None:
-    """Toggle the accelerator batch cycle caches."""
-    DESER_BATCH_CACHE.enabled = enabled
-    SER_BATCH_CACHE.enabled = enabled
 
 
 @dataclass
@@ -231,17 +156,6 @@ class ProtoAccelerator:
         self.dataops.assign_arena(self._deser_arena)
 
     # -- transport plumbing -----------------------------------------------------
-
-    @property
-    def rocc(self):
-        """Legacy alias for the attach point.
-
-        Tests and tooling predate the :class:`AccelTransport` seam and
-        reach command-stream observability (``log``,
-        ``instructions_issued``, ``faults_raised``) through ``.rocc``;
-        both transports expose that surface.
-        """
-        return self.transport
 
     def _fault_kind(self, base: str) -> str:
         """Operation kind announced to the fault injector.  The RoCC

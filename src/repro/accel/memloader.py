@@ -98,19 +98,16 @@ class Memloader:
         self._pos += nbytes
         self.bytes_loaded += nbytes
 
-    def consume_bulk(self, nbytes: int) -> tuple[bytes, float]:
-        """Consume ``nbytes`` as a bulk copy; returns (data, cycles).
+    def consume_bulk(self, nbytes: int) -> bytes:
+        """Consume ``nbytes`` as a bulk copy and return them.
 
-        Used by the string-copy states: the consumer drains the window at
-        the stream's sustained rate -- 16 B/cycle when the interface
-        wrappers keep enough line requests in flight to cover the memory
-        latency, less when ``max_outstanding`` is the bottleneck.
+        Used by the string-copy states, which charge the copy at the
+        stream's sustained rate (``stream_bytes_per_cycle`` in the
+        deserializer's charge schedule).
         """
         data = self.peek(nbytes)
         if len(data) < nbytes:
             raise DecodeError("bulk consume ran past end of stream "
                               "(truncated input)")
         self.consume(nbytes)
-        if nbytes <= 0:
-            return data, 0.0
-        return data, nbytes / self.timing.stream_bytes_per_cycle
+        return data

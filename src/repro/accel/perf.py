@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import memo
+
 
 @dataclass(frozen=True)
 class PerfReport:
@@ -81,28 +83,17 @@ class PerfReport:
                          for label, value in rows)
 
 
-def memoization_counters() -> dict[str, tuple[int, int]]:
-    """Hit/miss pairs for every host-side memoisation cache.
+#: The memos :func:`memoization_counters` reports, in its order.
+_REPORTED_MEMOS = ("cpu-deser", "cpu-ser", "accel-deser", "accel-ser",
+                   "codegen")
 
-    Covers the software-CPU per-operation cycle caches, the accelerator
-    whole-batch caches, and the specialized-kernel code cache.  (ADT
-    template hits are per-builder; see
-    :attr:`repro.accel.adt.AdtBuilder.template_hits`.)
-    """
-    from repro.accel import codegen, driver
-    from repro.cpu import model
-    code_hits, code_misses, _, _ = codegen.cache_counters()
-    return {
-        "cpu-deser": (model.DESER_CYCLE_CACHE.hits,
-                      model.DESER_CYCLE_CACHE.misses),
-        "cpu-ser": (model.SER_CYCLE_CACHE.hits,
-                    model.SER_CYCLE_CACHE.misses),
-        "accel-deser": (driver.DESER_BATCH_CACHE.hits,
-                        driver.DESER_BATCH_CACHE.misses),
-        "accel-ser": (driver.SER_BATCH_CACHE.hits,
-                      driver.SER_BATCH_CACHE.misses),
-        "codegen": (code_hits, code_misses),
-    }
+
+def memoization_counters() -> dict[str, tuple[int, int]]:
+    """Hit/miss pairs of the software-CPU per-operation cycle memos, the
+    accelerator whole-batch memos and the kernel code cache (a memo
+    whose module was never imported has seen no lookups)."""
+    counters = memo.counters()
+    return {name: counters.get(name, (0, 0)) for name in _REPORTED_MEMOS}
 
 
 def render_memoization_line() -> str:
@@ -124,12 +115,12 @@ def tier_counters() -> dict[str, dict[str, int]]:
 def render_codegen_line() -> str:
     """The execution-tier observability surface: code-cache hit rate
     plus a per-tier run table (one line per op)."""
-    from repro.accel import codegen
-    hits, misses, entries, capacity = codegen.cache_counters()
+    from repro.accel.codegen import CODE_CACHE
+    hits, misses = CODE_CACHE.hits, CODE_CACHE.misses
     total = hits + misses
     rate = f"{hits / total:.1%}" if total else "n/a"
     lines = [f"codegen cache: {rate} ({hits:,}/{total:,})  "
-             f"entries {entries}/{capacity}"]
+             f"entries {len(CODE_CACHE)}/{CODE_CACHE.capacity}"]
     for op, runs in tier_counters().items():
         lines.append(f"{op} tiers: interp {runs['interp']:,}  "
                      f"codegen {runs['codegen']:,}")
@@ -141,7 +132,7 @@ def collect(accel) -> PerfReport:
     deser = accel.deserializer
     ser = accel.serializer
     return PerfReport(
-        rocc_instructions=accel.rocc.instructions_issued,
+        rocc_instructions=accel.transport.instructions_issued,
         varint_decodes=(deser.varint_unit.decodes
                         + ser.varint_unit.decodes),
         varint_encodes=(deser.varint_unit.encodes
@@ -160,7 +151,7 @@ def collect(accel) -> PerfReport:
         memory_written_bytes=accel.memory.stats.written_bytes,
         faults_injected=(accel.faults.injected
                          if accel.faults is not None else 0),
-        fault_interrupts=accel.rocc.faults_raised,
+        fault_interrupts=accel.transport.faults_raised,
         transient_retries=accel.fault_stats.transient_retries,
         cpu_fallbacks=accel.fault_stats.cpu_fallbacks,
         wasted_accel_cycles=accel.fault_stats.wasted_accel_cycles,

@@ -10,9 +10,11 @@ reflects the cost models and the code that ran it.  The parallel path
 is bit-for-bit equivalent to the serial in-process run because
 workload builders take explicit seeds, so a worker process rebuilds
 exactly the batch the parent would have (fork-safe, no global RNG).
-``tests/bench/test_harness.py`` asserts this.  The in-process memo
-caches (CPU cycle cache, accelerator batch cache, workload and ADT
-caches) are likewise invisible in the numbers.
+``tests/bench/test_harness.py`` asserts this.  The in-process memos
+(:mod:`repro.memo`: CPU cycles, accelerator batches, codegen kernels,
+ADT templates and this module's built workloads) are likewise invisible
+in the numbers: a run inside :func:`repro.memo.disabled` gives the same
+figures.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.bench.runner import (
     run_serialization,
 )
 from repro.hyperprotobench import build_hyperprotobench
+from repro.memo import MISS, Memo
 
 
 @dataclass(frozen=True)
@@ -70,21 +73,11 @@ def get_options() -> HarnessOptions:
     return _OPTIONS
 
 
-#: In-process workload-construction cache.  Builders are deterministic
-#: functions of (kind, name, batch, seed), benchmark code treats the
-#: messages as immutable, and the deserialize/serialize specs of one
-#: workload share its serialized buffers -- so one build serves every
-#: spec that names it.
-_WORKLOAD_CACHE: dict[tuple, Workload] = {}
-_WORKLOAD_CACHE_LIMIT = 64
-_WORKLOAD_CACHE_ENABLED = True
-
-
-def set_workload_cache_enabled(enabled: bool) -> None:
-    global _WORKLOAD_CACHE_ENABLED
-    _WORKLOAD_CACHE_ENABLED = bool(enabled)
-    if not enabled:
-        _WORKLOAD_CACHE.clear()
+#: Built workloads.  Builders are deterministic functions of (kind, name,
+#: batch, seed), benchmark code treats the messages as immutable, and the
+#: deserialize/serialize specs of one workload share its serialized
+#: buffers -- so one build serves every spec that names it.
+_WORKLOADS = Memo("workload", 64)
 
 
 @dataclass(frozen=True)
@@ -104,10 +97,9 @@ class WorkloadSpec:
 
     def build(self) -> Workload:
         key = (self.kind, self.name, self.batch, self.seed)
-        if _WORKLOAD_CACHE_ENABLED:
-            workload = _WORKLOAD_CACHE.get(key)
-            if workload is not None:
-                return workload
+        workload = _WORKLOADS.get(key)
+        if workload is not MISS:
+            return workload
         if self.kind == "micro":
             workload = build_microbench(self.name, batch=self.batch)
         elif self.kind == "hyper":
@@ -115,10 +107,7 @@ class WorkloadSpec:
                                              batch=self.batch)
         else:
             raise ValueError(f"unknown workload kind {self.kind!r}")
-        if _WORKLOAD_CACHE_ENABLED:
-            if len(_WORKLOAD_CACHE) >= _WORKLOAD_CACHE_LIMIT:
-                _WORKLOAD_CACHE.clear()
-            _WORKLOAD_CACHE[key] = workload
+        _WORKLOADS.put(key, workload)
         return workload
 
 

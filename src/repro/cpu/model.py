@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from typing import Optional, Sequence
 
+from repro.memo import MISS, Memo
 from repro.proto.decoder import parse_message
 from repro.proto.descriptor import MessageDescriptor, structural_fingerprint
 from repro.proto.encoder import serialize_message
@@ -19,64 +20,13 @@ from repro.proto.message import Message
 from repro.proto.trace import Op, Trace
 
 
-class CycleCache:
-    """Keyed per-operation cycle memoisation.
-
-    The trace-based cost of one software ser/deser operation is a pure
-    function of (cost params, message-type structure, wire bytes) -- no
-    state carries over between operations -- so identical operations can
-    charge the first computation's cycles.  Keys combine the frozen
-    :class:`CpuParams`, the descriptor's structural fingerprint, and the
-    exact wire buffer.  See docs/PERF.md for the determinism argument.
-    """
-
-    #: Entry cap: beyond this the cache resets (bounds batch sweeps).
-    MAX_ENTRIES = 1 << 18
-
-    def __init__(self, name: str):
-        self.name = name
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict[tuple, float] = {}
-
-    def lookup(self, key: tuple) -> Optional[float]:
-        if not self.enabled:
-            return None
-        cycles = self._entries.get(key)
-        if cycles is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return cycles
-
-    def store(self, key: tuple, cycles: float) -> None:
-        if not self.enabled:
-            return
-        if len(self._entries) >= self.MAX_ENTRIES:
-            self._entries.clear()
-        self._entries[key] = cycles
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-#: Process-wide software-CPU cycle caches (deser and ser operations).
-DESER_CYCLE_CACHE = CycleCache("cpu-deser")
-SER_CYCLE_CACHE = CycleCache("cpu-ser")
-
-
-def set_cycle_cache_enabled(enabled: bool) -> None:
-    """Toggle the software-CPU cycle caches (both operations)."""
-    DESER_CYCLE_CACHE.enabled = enabled
-    SER_CYCLE_CACHE.enabled = enabled
+#: Per-operation software cycle memos (deser and ser).  The trace-based
+#: cost of one operation is a pure function of (cost params, message-type
+#: structure, wire bytes) -- no state carries over between operations --
+#: so identical operations charge the first computation's cycles.  See
+#: docs/PERF.md for the determinism argument.
+DESER_CYCLE_CACHE = Memo("cpu-deser", 1 << 18)
+SER_CYCLE_CACHE = Memo("cpu-ser", 1 << 18)
 
 
 @dataclass(frozen=True)
@@ -224,10 +174,10 @@ class SoftwareCpu:
         total = 0.0
         for data in buffers:
             key = prefix + (bytes(data),)
-            cycles = DESER_CYCLE_CACHE.lookup(key)
-            if cycles is None:
+            cycles = DESER_CYCLE_CACHE.get(key)
+            if cycles is MISS:
                 cycles = self.deserialize(descriptor, data)[1].cycles
-                DESER_CYCLE_CACHE.store(key, cycles)
+                DESER_CYCLE_CACHE.put(key, cycles)
             total += cycles
         return total
 
@@ -251,10 +201,10 @@ class SoftwareCpu:
         total = 0.0
         for message, wire in zip(messages, keys):
             key = prefix + (bytes(wire),)
-            cycles = SER_CYCLE_CACHE.lookup(key)
-            if cycles is None:
+            cycles = SER_CYCLE_CACHE.get(key)
+            if cycles is MISS:
                 cycles = self.serialize(message)[1].cycles
-                SER_CYCLE_CACHE.store(key, cycles)
+                SER_CYCLE_CACHE.put(key, cycles)
             total += cycles
         return total
 

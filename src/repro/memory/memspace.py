@@ -10,6 +10,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro import memo
+
 #: First usable address; address 0 is reserved as the null pointer.
 BASE_ADDRESS = 0x1000
 
@@ -55,7 +57,8 @@ class SimMemory:
         self.stats = MemoryStats()
         # Decoded-structure cache for effectively-immutable regions
         # (ADT blocks): readers memoise decodes here; any write that
-        # overlaps the cached envelope flushes the lot.
+        # overlaps the cached envelope flushes the lot.  It obeys the
+        # process-wide memo switch (repro.memo.disabled).
         self._decode_cache: dict = {}
         self._decode_lo = 1 << 63
         self._decode_hi = 0
@@ -63,10 +66,12 @@ class SimMemory:
     # -- decoded-structure cache -----------------------------------------------
 
     def decode_cache_get(self, key):
-        return self._decode_cache.get(key)
+        return self._decode_cache.get(key) if memo.ENABLED else None
 
     def decode_cache_put(self, key, addr: int, length: int, value):
         """Memoise a decode of bytes [addr, addr+length); returns value."""
+        if not memo.ENABLED:
+            return value
         if addr < self._decode_lo:
             self._decode_lo = addr
         if addr + length > self._decode_hi:

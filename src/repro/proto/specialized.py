@@ -8,7 +8,7 @@ This module gives the Python CPU-reference path the same tier: for a
 Python source -- a flat ``while`` loop whose tag switch is unrolled into
 per-field-number ``elif`` branches, varint decode inlined, values written
 directly into the message's slot storage -- compiles it with
-``compile()``/``exec``, and caches the kernels per descriptor.
+``compile()``/``exec``, and keeps the kernels on the descriptor.
 
 Correctness contract: a specialized kernel must be observationally
 identical to the interpretive path in :mod:`repro.proto.decoder` /
@@ -22,14 +22,13 @@ the interpretive path so the CPU cost models see the canonical event
 stream.
 
 Descriptors are baked into the generated source by identity (the runtime
-enforces ``child.descriptor is fd.message_type``), so the kernel cache is
-keyed by descriptor identity and holds a strong reference to keep ids
-stable; an LRU bound keeps it small.
+enforces ``child.descriptor is fd.message_type``), so each descriptor
+keeps its own kernels, compiled on first use, and they live exactly as
+long as it does.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from struct import pack as _struct_pack, unpack_from as _struct_unpack_from
 
 from repro.proto.errors import DecodeError, EncodeError
@@ -59,47 +58,19 @@ _SUPPORTED = (frozenset(_FIXED) | _VARINT_TYPES
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
 
-SPECIALIZED_CACHE_CAPACITY = 128
 
+def _kernels(descriptor) -> tuple:
+    """``(parser, encoder)`` for ``descriptor``, or ``(None, None)``.
 
-class _SpecializedCache:
-    """LRU of per-descriptor kernel pairs, keyed by descriptor identity."""
-
-    def __init__(self, capacity: int = SPECIALIZED_CACHE_CAPACITY):
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, descriptor):
-        key = id(descriptor)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        kernels = _build_kernels(descriptor)
-        # The strong descriptor reference keeps id() stable for the
-        # lifetime of the cache entry.
-        self._entries[key] = (descriptor, kernels)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return kernels
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_CACHE = _SpecializedCache()
-
-
-def cache_counters() -> tuple[int, int, int, int]:
-    """(hits, misses, entries, capacity) of the CPU kernel cache."""
-    return (_CACHE.hits, _CACHE.misses, len(_CACHE), _CACHE.capacity)
+    Compiled once and stored on the descriptor, the way
+    :func:`~repro.proto.descriptor.structural_fingerprint` stores its
+    digest.
+    """
+    kernels = getattr(descriptor, "_specialized", None)
+    if kernels is None:
+        kernels = _build_kernels(descriptor) or (None, None)
+        descriptor._specialized = kernels
+    return kernels
 
 
 def parser_for(descriptor):
@@ -109,14 +80,12 @@ def parser_for(descriptor):
     keep_unknown)`` with ``data`` a bytes-like object (the callers pass a
     memoryview over the whole input, as the interpreter does).
     """
-    kernels = _CACHE.lookup(descriptor)
-    return kernels[0] if kernels is not None else None
+    return _kernels(descriptor)[0]
 
 
 def encoder_for(descriptor):
     """The specialized serialize kernel (``fn(message) -> bytes``)."""
-    kernels = _CACHE.lookup(descriptor)
-    return kernels[1] if kernels is not None else None
+    return _kernels(descriptor)[1]
 
 
 def warm(schema) -> int:
@@ -126,11 +95,8 @@ def warm(schema) -> int:
     wrapper classes hit warm kernels on their first parse/serialize.
     Returns the number of types with kernels available.
     """
-    count = 0
-    for descriptor in schema.messages():
-        if _CACHE.lookup(descriptor) is not None:
-            count += 1
-    return count
+    return sum(_kernels(descriptor)[0] is not None
+               for descriptor in schema.messages())
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """Unit tests for the schema-specialized kernel tier (repro.accel.codegen).
 
 Covers the pieces the differential suite does not: the bounded LRU code
-cache and its counters, invalidation alongside the ADT caches, the
-driver's fast-path validation, and the rule that an armed fault plan
+cache and its counters, the driver's fast-path validation, and the rule that an armed fault plan
 keeps the bindings uninstalled so every named injection site still
 fires through the interpretive FSMs.
 """
 
 import pytest
 
-from repro.accel import adt, codegen, perf
-from repro.accel.codegen import KernelCodeCache
+from repro import memo
+from repro.accel import codegen, perf
 from repro.accel.deserializer import DeserTimingParams
 from repro.accel.driver import ProtoAccelerator
 from repro.faults import FaultPlan, FaultSite
@@ -61,9 +60,13 @@ def _accel(**kwargs):
 
 @pytest.fixture(autouse=True)
 def _clean_codegen_state():
-    codegen.invalidate_kernel_caches()
+    codegen.CODE_CACHE.clear()
     yield
-    codegen.invalidate_kernel_caches()
+    codegen.CODE_CACHE.clear()
+
+
+def _code_counters() -> tuple[int, int]:
+    return memo.counters()["codegen"]
 
 
 def test_driver_rejects_unknown_fast_path():
@@ -131,10 +134,10 @@ def test_code_cache_hits_across_accelerator_instances():
     wire = _probe_message().serialize()
     first = _accel(fast_path="codegen")
     first.deserialize(_SCHEMA["Probe"], wire)
-    _, misses_after_first, _, _ = codegen.cache_counters()
+    _, misses_after_first = _code_counters()
     second = _accel(fast_path="codegen")
     second.deserialize(_SCHEMA["Probe"], wire)
-    hits, misses, _, _ = codegen.cache_counters()
+    hits, misses = _code_counters()
     assert hits > 0, "second accelerator should reuse compiled kernels"
     assert misses == misses_after_first
     # The key is the charge schedule: a PCIe device that also differs in
@@ -145,16 +148,16 @@ def test_code_cache_hits_across_accelerator_instances():
         rocc_dispatch_cycles=6))
     pcie.deserializer.params = DeserTimingParams(adt_cache_entries=16)
     pcie.deserialize(_SCHEMA["Probe"], wire)
-    assert codegen.cache_counters()[:2] == (hits + 1, misses)
+    assert _code_counters() == (hits + 1, misses)
     # A knob the kernels do bake in compiles a kernel of its own.
     narrow = _accel(fast_path="codegen", config=SoCConfig(
         memory=MemoryTimingModel(bytes_per_beat=8)))
     narrow.deserialize(_SCHEMA["Probe"], wire)
-    assert codegen.cache_counters()[1] == misses + 1
+    assert _code_counters()[1] == misses + 1
 
 
 def test_code_cache_is_bounded_lru(monkeypatch):
-    monkeypatch.setattr(codegen, "CODE_CACHE", KernelCodeCache(capacity=3))
+    monkeypatch.setattr(codegen.CODE_CACHE, "capacity", 3)
     wire = b"\x08\x01"  # field 1, varint 1
     for number in range(1, 7):
         descriptor = MessageDescriptor(
@@ -166,23 +169,9 @@ def test_code_cache_is_bounded_lru(monkeypatch):
                                  fast_path="codegen")
         accel.register_types([descriptor])
         accel.deserialize(descriptor, wire if number == 1 else b"")
-    hits, misses, entries, capacity = codegen.cache_counters()
-    assert capacity == 3
-    assert entries <= 3
+    _, misses = _code_counters()
+    assert len(codegen.CODE_CACHE) == 3
     assert misses >= 6
-
-
-def test_adt_cache_toggle_invalidates_kernel_cache():
-    accel = _accel(fast_path="codegen")
-    accel.deserialize(_SCHEMA["Probe"], _probe_message().serialize())
-    assert codegen.cache_counters()[2] > 0
-    generation = codegen._GENERATION
-    adt.set_adt_caches_enabled(False)
-    try:
-        assert codegen.cache_counters()[2] == 0
-        assert codegen._GENERATION > generation
-    finally:
-        adt.set_adt_caches_enabled(True)
 
 
 def test_perf_surface_exposes_codegen_counters():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.accel import driver as driver_mod
+from repro import memo
 from repro.accel.deserializer import DeserTimingParams
 from repro.accel.driver import ProtoAccelerator
 from repro.accel.serializer import SerTimingParams
@@ -264,12 +264,11 @@ def test_every_ser_fault_site_fires_despite_codegen(site):
 def test_bench_results_identical_across_tiers():
     """Figure-level regression: a sample of the Fig-11 microbenchmarks
     produces byte-identical BenchmarkResults on both tiers (gbps, cycles,
-    wire bytes), with the batch caches disabled so both actually run."""
+    wire bytes), with the memos disabled so both actually run."""
     from repro.bench.microbench import build_microbench
     from repro.bench.runner import run_deserialization, run_serialization
 
-    driver_mod.set_batch_cache_enabled(False)
-    try:
+    with memo.disabled():
         for name in ("varint-3", "string_15", "double-R", "string-SUB"):
             workload = build_microbench(name, batch=4)
             for run in (run_deserialization, run_serialization):
@@ -277,5 +276,3 @@ def test_bench_results_identical_across_tiers():
                 codegen_result = run(workload, fast_path="codegen")
                 assert codegen_result == interp_result, (
                     f"{name}: {run.__name__} diverged across tiers")
-    finally:
-        driver_mod.set_batch_cache_enabled(True)

@@ -17,7 +17,7 @@ def schema():
 class TestRoccProtocol:
     def test_arena_assignment_on_construction(self, schema):
         accel = ProtoAccelerator()
-        functs = [inst.funct for inst in accel.rocc.log]
+        functs = [inst.funct for inst in accel.transport.log]
         assert RoccFunct.DESER_ASSIGN_ARENA in functs
         assert RoccFunct.SER_ASSIGN_ARENA in functs
 
@@ -27,7 +27,7 @@ class TestRoccProtocol:
         m = schema["M"].new_message()
         m["x"] = 1
         accel.deserialize(schema["M"], m.serialize())
-        functs = [inst.funct for inst in accel.rocc.log]
+        functs = [inst.funct for inst in accel.transport.log]
         info = functs.index(RoccFunct.DESER_INFO)
         assert functs[info + 1] is RoccFunct.DO_PROTO_DESER
 
@@ -37,9 +37,9 @@ class TestRoccProtocol:
         m = schema["M"].new_message()
         m["x"] = 1
         accel.deserialize_batch(schema["M"], [m.serialize()] * 3)
-        assert accel.rocc.log[-1].funct is \
+        assert accel.transport.log[-1].funct is \
             RoccFunct.BLOCK_FOR_DESER_COMPLETION
-        assert accel.rocc.inflight_deserializations == 0
+        assert accel.transport.inflight_deserializations == 0
 
     def test_ser_instruction_order(self, schema):
         accel = ProtoAccelerator()
@@ -47,7 +47,7 @@ class TestRoccProtocol:
         m = schema["M"].new_message()
         m["x"] = 1
         accel.serialize(schema["M"], accel.load_object(m))
-        functs = [inst.funct for inst in accel.rocc.log]
+        functs = [inst.funct for inst in accel.transport.log]
         info = functs.index(RoccFunct.SER_INFO)
         assert functs[info + 1] is RoccFunct.DO_PROTO_SER
 

@@ -51,11 +51,10 @@ class TestWindow:
 
 
 class TestBulkConsume:
-    def test_bulk_returns_data_and_beat_cycles(self):
+    def test_bulk_returns_data(self):
         loader = _loader(b"x" * 64)
-        data, cycles = loader.consume_bulk(48)
-        assert data == b"x" * 48
-        assert cycles == 3.0  # 48 bytes / 16 B per beat
+        assert loader.consume_bulk(48) == b"x" * 48
+        assert loader.remaining == 16
 
     def test_bulk_past_end_is_decode_error(self):
         from repro.proto.errors import DecodeError

@@ -15,7 +15,6 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.accel import driver as driver_mod
 from repro.accel.driver import ProtoAccelerator
 from repro.proto import parse_schema
 from repro.proto.decoder import parse_message
@@ -114,23 +113,19 @@ def test_transport_cycles_identical_across_execution_tiers():
     for unit cycles."""
     message = _probe_message()
     wires = [message.serialize()] * 12
-    driver_mod.set_batch_cache_enabled(False)
-    try:
-        for transport in TRANSPORTS:
-            per_tier = {}
-            for fast_path in ("interp", "codegen"):
-                device = _accel(_SCHEMA, transport, fast_path=fast_path)
-                _, stats = device.deserialize_batch(_SCHEMA["Probe"], wires)
-                addresses = [device.load_object(message) for _ in wires]
-                _, ser_stats = device.serialize_batch(_SCHEMA["Probe"],
-                                                      addresses)
-                per_tier[fast_path] = (stats.transport_cycles,
-                                       ser_stats.transport_cycles,
-                                       stats.cycles, ser_stats.cycles)
-            assert per_tier["interp"] == per_tier["codegen"], \
-                f"tier divergence on {transport}"
-    finally:
-        driver_mod.set_batch_cache_enabled(True)
+    for transport in TRANSPORTS:
+        per_tier = {}
+        for fast_path in ("interp", "codegen"):
+            device = _accel(_SCHEMA, transport, fast_path=fast_path)
+            _, stats = device.deserialize_batch(_SCHEMA["Probe"], wires)
+            addresses = [device.load_object(message) for _ in wires]
+            _, ser_stats = device.serialize_batch(_SCHEMA["Probe"],
+                                                  addresses)
+            per_tier[fast_path] = (stats.transport_cycles,
+                                   ser_stats.transport_cycles,
+                                   stats.cycles, ser_stats.cycles)
+        assert per_tier["interp"] == per_tier["codegen"], \
+            f"tier divergence on {transport}"
 
 
 def test_rocc_transport_cycles_are_dispatch_cost():

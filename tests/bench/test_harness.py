@@ -1,8 +1,8 @@
 """Differential tests: every fast path reproduces the serial figures.
 
-The zero-copy wire layer, the cycle/batch memoisation caches, and the
+The zero-copy wire layer, the memos (:mod:`repro.memo`), and the
 process-pool fan-out must all be invisible in the numbers: cycles and
-Gbit/s identical to the last ULP against a serial run with every cache
+Gbit/s identical to the last ULP against a serial run with every memo
 disabled.
 """
 
@@ -10,12 +10,8 @@ import math
 
 import pytest
 
-from repro.accel.adt import set_adt_caches_enabled
-from repro.accel.driver import (
-    DESER_BATCH_CACHE,
-    SER_BATCH_CACHE,
-    set_batch_cache_enabled,
-)
+from repro import memo
+from repro.bench import runner
 from repro.bench.harness import (
     WorkloadSpec,
     get_options,
@@ -24,37 +20,33 @@ from repro.bench.harness import (
     set_options,
 )
 from repro.bench.runner import SYSTEMS
-from repro.cpu.model import (
-    DESER_CYCLE_CACHE,
-    SER_CYCLE_CACHE,
-    set_cycle_cache_enabled,
-)
+
+#: The per-operation memos a spec's run consults: (CPU cycle memo,
+#: accelerator batch memo).
+_OP_MEMOS = {"deserialize": ("cpu-deser", runner.DESER_BATCH_CACHE),
+             "serialize": ("cpu-ser", runner.SER_BATCH_CACHE)}
 
 
 @pytest.fixture
 def fresh_caches():
-    """Clear every in-process memo cache; restore enablement after."""
-    for cache in (DESER_CYCLE_CACHE, SER_CYCLE_CACHE,
-                  DESER_BATCH_CACHE, SER_BATCH_CACHE):
-        cache.clear()
+    """Empty every in-process memo before and after the test."""
+    memo.clear_all()
     yield
-    set_cycle_cache_enabled(True)
-    set_batch_cache_enabled(True)
-    for cache in (DESER_CYCLE_CACHE, SER_CYCLE_CACHE,
-                  DESER_BATCH_CACHE, SER_BATCH_CACHE):
-        cache.clear()
+    memo.clear_all()
 
 
 def _run_uncached(spec):
-    set_cycle_cache_enabled(False)
-    set_batch_cache_enabled(False)
-    set_adt_caches_enabled(False)
-    try:
+    with memo.disabled():
         return run_spec(spec)
-    finally:
-        set_cycle_cache_enabled(True)
-        set_batch_cache_enabled(True)
-        set_adt_caches_enabled(True)
+
+
+def _run_counting_hits(spec):
+    """Run ``spec``; return its result and the names of the memos hit."""
+    before = memo.counters()
+    result = run_spec(spec)
+    hit = {name for name, (hits, _) in memo.counters().items()
+           if hits > before.get(name, (0, 0))[0]}
+    return result, hit
 
 
 def assert_identical(reference, observed):
@@ -75,15 +67,24 @@ def assert_identical(reference, observed):
 ])
 def test_memo_caches_reproduce_uncached_run(fresh_caches, spec):
     reference = _run_uncached(spec)
-    cold = run_spec(spec)   # populates memo caches
-    warm = run_spec(spec)   # served from memo caches
+    # The switch off bypasses every memo: nothing stored, nothing counted.
+    assert set(memo.counters().values()) == {(0, 0)}
+    cold = run_spec(spec)   # populates the memos
+    warm, warm_hits = _run_counting_hits(spec)
     assert_identical(reference, cold)
     assert_identical(reference, warm)
-    # The warm run must actually have hit a cache, or this test proves
-    # nothing about the replay path.
-    hits = (DESER_CYCLE_CACHE.hits + SER_CYCLE_CACHE.hits
-            + DESER_BATCH_CACHE.hits + SER_BATCH_CACHE.hits)
-    assert hits > 0
+    # Each memo must actually have been hit, or this test proves nothing
+    # about its replay path.
+    cpu_memo, batch_memo = _OP_MEMOS[spec.operation]
+    for name in ("workload", cpu_memo, batch_memo.name):
+        assert name in warm_hits, f"warm run never hit the {name} memo"
+    # Without the batch memo the accelerator runs again, on a new device,
+    # so the memos behind it must hit too.
+    batch_memo.clear()
+    rerun, device_hits = _run_counting_hits(spec)
+    assert_identical(reference, rerun)
+    for name in ("adt-template", "codegen"):
+        assert name in device_hits, f"rerun never hit the {name} memo"
 
 
 def test_parallel_cached_matches_serial_uncached(fresh_caches):

@@ -226,8 +226,8 @@ def test_rocc_records_fault_sites():
     plan = _single_site_plan(FaultSite.TLB_FAULT)
     accel = _accel(plan)
     accel.deserialize(_SCHEMA["Probe"], _probe_message().serialize())
-    assert accel.rocc.faults_raised == 1
-    assert accel.rocc.fault_sites == {"tlb.fault": 1}
+    assert accel.transport.faults_raised == 1
+    assert accel.transport.fault_sites == {"tlb.fault": 1}
 
 
 def test_bus_stall_recorded_on_bus_ledger():

@@ -113,8 +113,8 @@ class TestRpcRuntime:
         response = stub.call("Repeat", request)
         assert list(response["texts"]) == ["offloaded"] * 2
         # Both devices actually did work.
-        assert client_accel.rocc.instructions_issued > 2
-        assert server_accel.rocc.instructions_issued > 2
+        assert client_accel.transport.instructions_issued > 2
+        assert server_accel.transport.instructions_issued > 2
 
     def test_unimplemented_method_rejected(self, schema):
         handler = ServiceHandler(schema.service("Echo"))

@@ -94,8 +94,6 @@ def test_driver_surfaces_the_resolution():
     assert accel.transport.name == "rocc"
     assert accel.transport_resolution.fell_back
     assert accel.transport_resolution.requested == "pcie"
-    # The compatibility alias tracks the effective transport.
-    assert accel.rocc is accel.transport
 
 
 def test_rocc_transport_surface_is_flat():
