@@ -33,10 +33,11 @@ differ only in knobs no kernel bakes in share one kernel).  Per
 accelerator instance a *binding* resolves the compiled kernel against
 the live ADT image -- validating header fields and every entry
 byte-for-byte against the image the generator assumed -- so a
-corrupted or mismatched ADT simply falls back to the interpreter.  When
-a fault plan is armed the driver never installs bindings at all: every
-one of the 11 named fault sites keeps firing through the interpretive
-path.
+corrupted or mismatched ADT simply falls back to the interpreter.
+Kernels carry no fault poll sites: a unit runs an operation that has a
+fault armed (``FaultInjector.armed``) on the interpretive path, so every
+named fault site keeps firing there, and runs every other operation on
+its kernel.
 """
 
 from __future__ import annotations

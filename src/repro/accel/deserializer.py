@@ -300,11 +300,12 @@ class DeserializerUnit:
             raise RuntimeError(
                 "no accelerator arena assigned; issue deser_assign_arena")
         kernel = None
-        if self.codegen is not None and self.faults is None:
+        if self.codegen is not None and (self.faults is None
+                                         or not self.faults.armed):
             # Specialized straight-line kernel: bit-identical cycles and
-            # errors, host wall-clock only.  With faults attached the
-            # interpretive FSM runs instead so every named fault site
-            # still fires.
+            # errors, host wall-clock only.  An operation with a fault
+            # armed runs the interpretive FSM instead, so every named
+            # fault site still fires where it always has.
             kernel = self.codegen.kernel_for(adt_addr)
         tiers.note("deser", "interp" if kernel is None else "codegen")
         stats = DeserStats(wire_bytes=src_len)

@@ -129,13 +129,13 @@ class ProtoAccelerator:
         self.fault_stats = FaultRecoveryStats()
         self._fallback_cpu = None  # lazily built boom_cpu()
         # Schema-specialized codegen kernels (repro.accel.codegen): same
-        # modeled cycles, much less host work.  With a fault plan armed
-        # the bindings are never installed -- every operation runs the
-        # interpretive FSMs so all named fault sites still fire.
+        # modeled cycles, much less host work.  The units pick the tier
+        # per operation: one with a fault armed runs the interpretive
+        # FSM, so every named fault site still fires.
         if fast_path not in ("codegen", "interp"):
             raise ValueError(f"unknown fast_path {fast_path!r}; "
                              "expected 'codegen' or 'interp'")
-        if fast_path == "codegen" and self.faults is None:
+        if fast_path == "codegen":
             from repro.accel import codegen
             self.deserializer.codegen = codegen.bind_deserializer(
                 self.deserializer, self.adts.descriptor_for)

@@ -31,7 +31,12 @@ class PerfReport:
     adt_cache_misses: int
     deser_arena_bytes_used: int
     ser_outputs: int
+    #: Host-simulator traffic, not modeled traffic: bytes the Python
+    #: simulator moved through ``SimMemory``.  Tier-dependent -- the
+    #: interpretive FSMs re-read what a codegen kernel bakes in -- so
+    #: a fault run's figure depends on which operations were armed.
     memory_read_bytes: int
+    #: Host-simulator bytes written through ``SimMemory`` (see above).
     memory_written_bytes: int
     # Fault/recovery counters (zero on a fault-free device).
     faults_injected: int = 0
@@ -65,7 +70,7 @@ class PerfReport:
             ("deser arena bytes in use",
              f"{self.deser_arena_bytes_used:,}"),
             ("serialized outputs in arena", f"{self.ser_outputs:,}"),
-            ("simulated memory read / written",
+            ("host-simulator memory read / written (tier-dependent)",
              f"{self.memory_read_bytes:,} / "
              f"{self.memory_written_bytes:,} B"),
             ("faults injected / interrupts raised",

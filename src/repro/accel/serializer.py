@@ -214,8 +214,10 @@ class SerializerUnit:
             raise RuntimeError(
                 "no serializer arena assigned; issue ser_assign_arena")
         kernel = None
-        if self.codegen is not None and self.faults is None:
-            # Specialized straight-line kernel (see DeserializerUnit).
+        if self.codegen is not None and (self.faults is None
+                                         or not self.faults.armed):
+            # Specialized straight-line kernel; an operation with a
+            # fault armed runs the FSM (see DeserializerUnit).
             kernel = self.codegen.kernel_for(adt_addr)
         tiers.note("ser", "interp" if kernel is None else "codegen")
         stats = SerStats()

@@ -109,6 +109,14 @@ class FaultInjector:
         self._armed = None
         self._stats = None
 
+    @property
+    def armed(self) -> bool:
+        """True while the current operation has a fault armed.  Only such
+        an operation can fire at a poll site; every other one polls into
+        an immediate return, so the units may run it on a kernel that
+        has no poll sites at all."""
+        return self._armed is not None
+
     # -- the injection points ---------------------------------------------------
 
     def poll(self, site: FaultSite) -> None:

@@ -1,15 +1,16 @@
 """Unit tests for the schema-specialized kernel tier (repro.accel.codegen).
 
 Covers the pieces the differential suite does not: the bounded LRU code
-cache and its counters, the driver's fast-path validation, and the rule that an armed fault plan
-keeps the bindings uninstalled so every named injection site still
-fires through the interpretive FSMs.
+cache and its counters, the driver's fast-path validation, and the
+per-operation tier choice under a fault plan: the bindings stay
+installed, an operation with a fault armed runs the interpretive FSM so
+its injection site still fires, and an unarmed one runs the kernel.
 """
 
 import pytest
 
 from repro import memo
-from repro.accel import codegen, perf
+from repro.accel import codegen, perf, tiers
 from repro.accel.deserializer import DeserTimingParams
 from repro.accel.driver import ProtoAccelerator
 from repro.faults import FaultPlan, FaultSite
@@ -116,18 +117,30 @@ def test_modeled_cycles_bit_identical_across_tiers():
     assert codegen_data == interp_data
 
 
-def test_armed_fault_plan_keeps_bindings_uninstalled():
+def test_fault_plan_runs_armed_ops_on_interp_and_the_rest_on_codegen():
+    # Over RoCC, memloader.bitflip is a deser-only site: the rate-1.0
+    # plan arms every deserialization and never a serialization.
     plan = FaultPlan(seed=1, rate=1.0,
                      sites=(FaultSite.MEMLOADER_BITFLIP,), max_trigger=1)
     accel = _accel(faults=plan, fast_path="codegen")
-    assert accel.deserializer.codegen is None
-    assert accel.serializer.codegen is None
+    assert accel.deserializer.codegen is not None
+    assert accel.serializer.codegen is not None
     message = _probe_message()
     wire = message.serialize()
+    before = tiers.counters()
     result = accel.deserialize(_SCHEMA["Probe"], wire)
     assert result.stats.faults_injected == 1
     observed = accel.read_message(_SCHEMA["Probe"], result.dest_addr)
     assert observed == message
+    addr = accel.load_object(message)
+    assert accel.serialize(_SCHEMA["Probe"], addr).data == wire
+    after = tiers.counters()
+    landed = {op: {tier: after[op][tier] - before[op][tier]
+                   for tier in after[op]} for op in after}
+    # The armed deserialization and its retry ran the FSM; the unarmed
+    # serialization ran its kernel.
+    assert landed == {"deser": {"interp": 2, "codegen": 0},
+                      "ser": {"interp": 0, "codegen": 1}}
 
 
 def test_code_cache_hits_across_accelerator_instances():

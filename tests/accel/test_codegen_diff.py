@@ -5,21 +5,26 @@ arbitrary valid messages, on adversarially mutated wire, and on the
 PR 2 known-bad vector corpus, the two accelerator tiers must produce
 identical messages, identical modeled stats (cycles included), and
 identical structured errors -- under the default device and under
-variants of the knobs the ablations sweep.  A final set forces every
-named fault site with ``fast_path="codegen"`` requested, proving the
-driver's bypass keeps the whole injection surface reachable.
+variants of the knobs the ablations sweep.  A final set runs fault
+injection with ``fast_path="codegen"``: every named site still fires
+(an operation with a fault armed runs the interpretive FSM, the next
+unarmed one a kernel), and a dense seeded plan over every site gives
+results identical to an all-interp device on both attach points.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import memo
+from repro.accel import perf, tiers
 from repro.accel.deserializer import DeserTimingParams
 from repro.accel.driver import ProtoAccelerator
 from repro.accel.serializer import SerTimingParams
 from repro.faults import FaultPlan, FaultSite, TRANSIENT_SITES
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import PCIE_SITES
 from repro.memory.timing import MemoryTimingModel
 from repro.proto import parse_schema
@@ -215,29 +220,55 @@ def _probe_message():
     return message
 
 
-def _fault_accel(site):
-    plan = FaultPlan(seed=1, rate=1.0, sites=(site,), max_trigger=1)
+def _plan_arming_first_only(site, kind):
+    """A plan on ``site`` that arms the first of two ``kind`` operations
+    and not the second (found by replaying its injector)."""
+    for seed in range(100):
+        plan = FaultPlan(seed=seed, rate=0.5, sites=(site,), max_trigger=1)
+        injector = FaultInjector(plan)
+        armed = []
+        for _ in range(2):
+            injector.begin_operation(kind)
+            armed.append(injector.armed)
+            injector.end_operation()
+        if armed == [True, False]:
+            return plan
+    raise AssertionError(f"no seed arms only the first {kind} op")
+
+
+def _fault_accel(site, base):
+    """A codegen device whose plan arms its first ``base`` operation
+    ("deser"/"ser") with ``site`` and leaves the second unarmed."""
     # The transport's own sites are only reachable over PCIe (the RoCC
     # path draws from the historical site set, bit-identically).
     transport = "pcie" if site in PCIE_SITES else "rocc"
+    kind = base if transport == "rocc" else f"pcie.{base}"
     device = ProtoAccelerator(config=SoCConfig(transport=transport),
                               deser_arena_bytes=1 << 20,
                               ser_arena_bytes=1 << 20,
-                              faults=plan, fast_path="codegen")
+                              faults=_plan_arming_first_only(site, kind),
+                              fast_path="codegen")
     device.register_schema(_PROBE_SCHEMA)
+    assert device.deserializer.codegen is not None
+    assert device.serializer.codegen is not None
     return device
+
+
+def _tier_delta(before, op):
+    after = tiers.counters()[op]
+    return {tier: after[tier] - before[op][tier] for tier in after}
 
 
 @pytest.mark.parametrize("site", _DESER_SITES,
                          ids=[s.value for s in _DESER_SITES])
 def test_every_deser_fault_site_fires_despite_codegen(site):
-    """Requesting the codegen tier must not shadow a single injection
-    site: the driver bypasses the kernels whenever a plan is armed."""
-    accel = _fault_accel(site)
-    assert accel.deserializer.codegen is None
-    assert accel.serializer.codegen is None
+    """Installed kernels must not shadow a single injection site: the
+    operation with a fault armed runs the interpretive FSM, and the
+    next, unarmed one on the same device runs its kernel."""
+    accel = _fault_accel(site, "deser")
     message = _probe_message()
     wire = message.serialize()
+    before = tiers.counters()
     result = accel.deserialize(_PROBE_SCHEMA["Probe"], wire)
     assert result.stats.faults_injected == 1
     if site in TRANSIENT_SITES:
@@ -246,17 +277,101 @@ def test_every_deser_fault_site_fires_despite_codegen(site):
         assert result.stats.cpu_fallbacks == 1
     observed = accel.read_message(_PROBE_SCHEMA["Probe"], result.dest_addr)
     assert observed == message
+    armed = _tier_delta(before, "deser")
+    assert armed["interp"] >= 1 and armed["codegen"] == 0
+
+    before = tiers.counters()
+    result = accel.deserialize(_PROBE_SCHEMA["Probe"], wire)
+    assert result.stats.faults_injected == 0
+    assert accel.read_message(_PROBE_SCHEMA["Probe"],
+                              result.dest_addr) == message
+    assert _tier_delta(before, "deser") == {"interp": 0, "codegen": 1}
 
 
 @pytest.mark.parametrize("site", _SER_SITES,
                          ids=[s.value for s in _SER_SITES])
 def test_every_ser_fault_site_fires_despite_codegen(site):
-    accel = _fault_accel(site)
+    accel = _fault_accel(site, "ser")
     message = _probe_message()
     addr = accel.load_object(message)
+    before = tiers.counters()
     result = accel.serialize(_PROBE_SCHEMA["Probe"], addr)
     assert result.stats.faults_injected == 1
     assert result.data == message.serialize()
+    armed = _tier_delta(before, "ser")
+    assert armed["interp"] >= 1 and armed["codegen"] == 0
+
+    before = tiers.counters()
+    result = accel.serialize(_PROBE_SCHEMA["Probe"], addr)
+    assert result.stats.faults_injected == 0
+    assert result.data == message.serialize()
+    assert _tier_delta(before, "ser") == {"interp": 0, "codegen": 1}
+
+
+#: ``PerfReport`` fields that count host-simulator traffic through
+#: ``SimMemory``: the FSMs re-read what a kernel bakes in, so these
+#: legitimately differ by tier.  Every other field is modeled.
+_HOST_TRAFFIC_FIELDS = {"memory_read_bytes": 0, "memory_written_bytes": 0}
+
+_INJECTION_ROUND_TRIPS = 200
+
+
+def _injection_messages():
+    """Varied probe messages, so armed faults land at different depths."""
+    messages = []
+    for index in range(_INJECTION_ROUND_TRIPS):
+        message = _probe_message()
+        message["a"] = index * 7919 - 50_000
+        message["s"] = "héllo wörld"[:index % 12]
+        message["packed"] = [index * k for k in range(index % 5)]
+        for tag in range(index % 3):
+            message["kids"].add()["v"] = tag - index
+        messages.append(message)
+    return messages
+
+
+def _injected_run(transport, fast_path, messages):
+    device = ProtoAccelerator(config=SoCConfig(transport=transport),
+                              deser_arena_bytes=1 << 20,
+                              ser_arena_bytes=1 << 20,
+                              faults=FaultPlan(seed=3, rate=0.3),
+                              fast_path=fast_path)
+    device.register_schema(_PROBE_SCHEMA)
+    probe = _PROBE_SCHEMA["Probe"]
+    before = tiers.counters()
+    ops = []
+    for message in messages:
+        deser = device.deserialize(probe, message.serialize())
+        decoded = device.read_message(probe, deser.dest_addr)
+        ser = device.serialize(probe, device.load_object(message))
+        ops.append((deser.stats, decoded, ser.stats, ser.data))
+    landed = {op: _tier_delta(before, op) for op in ("deser", "ser")}
+    report = dataclasses.replace(perf.collect(device),
+                                 **_HOST_TRAFFIC_FIELDS)
+    return (ops, device.faults.log, device.fault_stats,
+            device.watchdog.aborts, report), landed
+
+
+@pytest.mark.parametrize("transport", ["rocc", "pcie"])
+def test_tiers_identical_under_seeded_fault_injection(transport):
+    """A dense seeded plan over every site: the codegen device runs
+    unarmed operations on kernels and armed ones on the FSM, and must
+    reproduce the all-interp device's stats, objects, wire bytes, fault
+    log, recovery counters, watchdog aborts and modeled perf counters."""
+    messages = _injection_messages()
+    interp, interp_landed = _injected_run(transport, "interp", messages)
+    codegen, codegen_landed = _injected_run(transport, "codegen", messages)
+    for index, (expected, observed) in enumerate(zip(interp[0],
+                                                     codegen[0])):
+        assert observed == expected, f"round trip {index} diverged"
+        assert observed[1] == messages[index]
+        assert observed[3] == messages[index].serialize()
+    assert codegen[1], "the plan injected no faults"
+    assert codegen[1:] == interp[1:]
+    for op in ("deser", "ser"):
+        assert interp_landed[op]["codegen"] == 0
+        assert codegen_landed[op]["interp"] > 0
+        assert codegen_landed[op]["codegen"] > 0
 
 
 # -- benchmark-suite cycle identity ------------------------------------------
