@@ -27,6 +27,15 @@ literals round-trip exactly), call the same modelled state (ADT entry
 cache, memwriter) and raise the same structured errors.  Codegen only
 changes host wall-clock.
 
+A kernel is one function per message type reachable from its root.
+Generating it emits them all, but only the entry point and the root
+type's function compile with it; every other type's function compiles
+the first time a message reaches that type (:mod:`repro.proto.lazy`),
+the way the paper's units touch a type's ADT only when the wire reaches
+it.  Keys no type's branches expect -- invalid keys, wrong wire types,
+unknown fields -- take one shared cold path (:func:`_deser_fallback`)
+instead of code emitted per type.
+
 Kernels are memoised in a bounded LRU (:data:`CODE_CACHE`) keyed by the
 schema's structural fingerprint plus the charge schedule (devices that
 differ only in knobs no kernel bakes in share one kernel).  Per
@@ -59,6 +68,7 @@ from repro.memo import MISS, Memo
 from repro.memory.layout import LayoutCache
 from repro.proto.descriptor import MessageDescriptor, structural_fingerprint
 from repro.proto.errors import DecodeError
+from repro.proto.lazy import install
 from repro.proto.types import (
     CPP_SCALAR_BYTES,
     FIXED_WIDTH_BYTES,
@@ -98,8 +108,9 @@ _STRINGISH = frozenset({FieldType.STRING, FieldType.BYTES})
 #: Compiled kernel namespaces, keyed by ``(kind, fingerprint, schedule)``.
 #: Values are ``(namespace, spec)``, or ``None`` for schemas the generator
 #: declined (the negative result is memoised too, so the interpreter
-#: fallback stays cheap).
-CODE_CACHE = Memo("codegen", 64)
+#: fallback stays cheap).  Sized so that the paper figures' 80 kernels
+#: (41 schemas under two schedules) all stay resident.
+CODE_CACHE = Memo("codegen", 128)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +246,131 @@ def _ser_watchdog(unit, stats, s, tp):
     return unit._watchdog_fire(stats, None)
 
 
+def _deser_fallback_table(descriptor: MessageDescriptor, layout,
+                          schedule: DeserSchedule) -> tuple:
+    """Per-type table :func:`_deser_fallback` reads: ``(schedule, min,
+    max, {number: (object offset, region width or None when singular,
+    expected-type text)})``; ``min`` is None for a type with no fields."""
+    fields = {}
+    for fd in descriptor.fields:
+        ft = fd.field_type
+        width = None
+        if fd.is_repeated:
+            width = (8 if ft in _STRINGISH or fd.is_message
+                     else CPP_SCALAR_BYTES[ft])
+        expected = ("a sub-message field"
+                    if fd.is_message and not fd.is_repeated else ft.value)
+        fields[fd.number] = (layout.field_offsets[fd.number], width,
+                             expected)
+    low = descriptor.min_field_number if descriptor.field_number_span \
+        else None
+    return schedule, low, descriptor.max_field_number, fields
+
+
+def _fallback_varint(data, slen: int, pos: int, a) -> tuple[int, int]:
+    if pos >= slen:
+        raise DecodeError("varint unit given an empty window", site="varint")
+    value = data[pos]
+    if value < 128:
+        pos += 1
+    else:
+        value, length = decode_varint(data[pos:pos + 10])
+        pos += length
+    a[8] += 1
+    return value, pos
+
+
+def _deser_fallback(z, data, slen, pos, k, eb, obj, r, cycles, table):
+    """Shared cold path of every generated deserializer: a key no branch
+    of the type's function expects.  An invalid key or a wrong wire type
+    on a defined field raises; an in-range hole or an out-of-range
+    number is skipped.  Replays the interpreter's charges, region
+    close/reopen, counters and error text in its order, and records
+    ``a[0]`` before raising.  Returns ``(pos, cycles)``."""
+    r64, w64, alloc, lookup, a = z[2], z[3], z[5], z[6], z[8]
+    schedule, low, high, fields = table
+    try:
+        wire = k & 7
+        if wire > 5:
+            raise DecodeError(f"invalid wire type {wire}")
+        number = k >> 3
+        if number < 1:
+            raise DecodeError(f"invalid field number {number}")
+        if low is not None and low <= number <= high:
+            if lookup(eb + (number - low) * ADT_ENTRY_BYTES):
+                cycles += schedule.typeinfo_hit
+            else:
+                cycles += schedule.adt_entry_miss
+            field = fields.get(number)
+            if field is not None:
+                a[1] += 1
+                offset, width, expected = field
+                if r is not None and (width is None or r[0] != number):
+                    # Close the open repeated region.
+                    w64(r[1], r[2])
+                    w64(r[1] + 8, r[3])
+                    w64(r[1] + 16, r[4])
+                    cycles += schedule.repeated_close
+                if width is not None and (r is None or r[0] != number):
+                    # Reopen (or open) this repeated field's region.
+                    header = r64(obj + offset)
+                    if header:
+                        r64(header)
+                        r64(header + 8)
+                        r64(header + 16)
+                        cycles += schedule.repeated_reopen
+                    else:
+                        header = alloc(24, 8)
+                        alloc(8 * width, 8)
+                        cycles += schedule.repeated_open
+                        w64(obj + offset, header)
+                raise DecodeError(f"wire type {_WTN[wire]} "
+                                  f"does not match {expected}")
+        else:
+            cycles += schedule.typeinfo_hit
+        cycles += schedule.skip_field
+        if wire == 0:
+            _, pos = _fallback_varint(data, slen, pos, a)
+        elif wire == 1 or wire == 5:
+            width = 8 if wire == 1 else 4
+            if slen - pos < width:
+                raise DecodeError(f"consume({width}) exceeds remaining "
+                                  f"{slen - pos} (truncated input stream)")
+            pos += width
+        elif wire == 2:
+            length, pos = _fallback_varint(data, slen, pos, a)
+            if length > slen - pos:
+                raise DecodeError("bulk consume ran past end of stream "
+                                  "(truncated input)")
+            cycles += length / schedule.stream_bytes_per_cycle
+            pos += length
+        else:
+            raise DecodeError(f"cannot skip deprecated wire type "
+                              f"{_WTN[wire]}")
+        a[2] += 1
+        return pos, cycles
+    except BaseException:
+        if cycles > a[0]:
+            a[0] = cycles
+        raise
+
+
 class _Writer:
+    """Indented source writer keeping one chunk per emitted function."""
+
     def __init__(self):
-        self.lines: list[str] = []
+        self._chunks: list[tuple[str, list[str]]] = []
+
+    def begin(self, name: str) -> None:
+        """Start the chunk of the function ``name``."""
+        self._chunks.append((name, []))
 
     def w(self, indent: int, text: str = "") -> None:
-        self.lines.append("    " * indent + text if text else "")
+        self._chunks[-1][1].append("    " * indent + text if text else "")
 
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    def chunks(self) -> list[tuple[str, str]]:
+        return [(name, "\n".join(lines) + "\n")
+                for name, lines in self._chunks]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +380,8 @@ class _Writer:
 
 def _gen_deser_source(descriptor: MessageDescriptor,
                       schedule: DeserSchedule):
-    """Emit the straight-line deserializer module for ``descriptor``."""
+    """Emit the straight-line deserializer for ``descriptor``: one
+    ``(name, source)`` chunk per function, plus the validation spec."""
     layouts = LayoutCache()
     order, descs = _type_order(descriptor)
     spec = _build_spec(descs, order, layouts)
@@ -403,32 +531,6 @@ def _gen_deser_source(descriptor: MessageDescriptor,
         w(ind, f"pos, cycles = _d{sub_ti}(z, data, slen, pos, pos + ln, "
                f"ch, depth + 1, cycles, {fresh})")
 
-    def skip_unknown(ind: int) -> None:
-        w(ind, f"cycles += {_f(schedule.skip_field)}")
-        w(ind, "if _wt == 0:")
-        varint(ind + 1, "v")
-        w(ind, "elif _wt == 1:")
-        w(ind + 1, "if slen - pos < 8:")
-        w(ind + 2, "raise DecodeError(f\"consume(8) exceeds remaining "
-                   "{slen - pos} (truncated input stream)\")")
-        w(ind + 1, "pos += 8")
-        w(ind, "elif _wt == 5:")
-        w(ind + 1, "if slen - pos < 4:")
-        w(ind + 2, "raise DecodeError(f\"consume(4) exceeds remaining "
-                   "{slen - pos} (truncated input stream)\")")
-        w(ind + 1, "pos += 4")
-        w(ind, "elif _wt == 2:")
-        varint(ind + 1, "ln")
-        w(ind + 1, "if ln > slen - pos:")
-        w(ind + 2, "raise DecodeError(\"bulk consume ran past end of "
-                   "stream (truncated input)\")")
-        w(ind + 1, f"cycles += ln / {_f(schedule.stream_bytes_per_cycle)}")
-        w(ind + 1, "pos += ln")
-        w(ind, "else:")
-        w(ind + 1, "raise DecodeError(f\"cannot skip deprecated wire "
-                   "type {_WTN[_wt]}\")")
-        w(ind, "a[2] += 1")
-
     for ti, d in enumerate(descs):
         layout = layouts.layout(d)
         span = d.field_number_span
@@ -450,6 +552,7 @@ def _gen_deser_source(descriptor: MessageDescriptor,
             else:
                 w(ind, f"hb[{hw}] |= {hb_mask:#x}")
 
+        out.begin(f"_d{ti}")
         w(0, f"def _d{ti}(z, data, slen, pos, end, obj, depth, cycles, "
              "fresh):")
         w(1, "mr, mw, r64, w64, fill, alloc, lookup, validate, a, wd, "
@@ -567,48 +670,13 @@ def _gen_deser_source(descriptor: MessageDescriptor,
                         w(4, f"cycles += {_f(schedule.scalar_write)}")
             first = False
 
-        # Generic fallback: wrong-wire-type keys on defined fields,
-        # in-range holes, out-of-range unknowns, invalid keys.
+        # Every other key -- invalid, a wrong wire type on a defined
+        # field, an in-range hole, an out-of-range unknown -- takes the
+        # shared cold path.
+        spec[ti]["fallback"] = _deser_fallback_table(d, layout, schedule)
         w(3, "else:" if not first else "if True:")
-        w(4, "_wt = k & 7")
-        w(4, "if _wt > 5:")
-        w(5, 'raise DecodeError(f"invalid wire type {_wt}")')
-        w(4, "_fn = k >> 3")
-        w(4, "if _fn < 1:")
-        w(5, 'raise DecodeError(f"invalid field number {_fn}")')
-        if span:
-            w(4, f"if {minf} <= _fn <= {d.max_field_number}:")
-            lookup_entry(5, f"eb + (_fn - {minf}) * {ADT_ENTRY_BYTES}",
-                         schedule.adt_entry_miss)
-            gfirst = True
-            for fd in d.fields:
-                ft = fd.field_type
-                w(5, f"{'if' if gfirst else 'elif'} _fn == {fd.number}:")
-                gfirst = False
-                w(6, "a[1] += 1")
-                hasbit(6, fd)
-                if fd.is_repeated:
-                    width = (8 if ft in _STRINGISH or fd.is_message
-                             else CPP_SCALAR_BYTES[ft])
-                    reopen(6, fd.number, layout.field_offsets[fd.number],
-                           width)
-                else:
-                    close_open(6)
-                if fd.is_message and not fd.is_repeated:
-                    w(6, "raise DecodeError(f\"wire type {_WTN[_wt]} "
-                         "does not match a sub-message field\")")
-                else:
-                    w(6, "raise DecodeError(f\"wire type {_WTN[_wt]} "
-                         f"does not match {ft.value}\")")
-            w(5, "else:")
-            skip_unknown(6)
-            w(4, "else:")
-            w(5, f"cycles += {_f(schedule.typeinfo_hit)}")
-            skip_unknown(5)
-        else:
-            # No defined entries: every in-range probe misses the table.
-            w(4, f"cycles += {_f(schedule.typeinfo_hit)}")
-            skip_unknown(4)
+        w(4, "pos, cycles = _dfb(z, data, slen, pos, k, eb, obj, r, cycles, "
+             f"_FB[{ti}])")
 
         # Frame epilogue.
         w(2, "if pos > end:")
@@ -633,6 +701,7 @@ def _gen_deser_source(descriptor: MessageDescriptor,
     # interpretive loop and keeps the per-operation charges for both tiers.
     top_layout = layouts.layout(descriptor)
     top_words = max(1, -(-descriptor.field_number_span // 64))
+    out.begin("_deser_entry")
     w(0, "def _deser_entry(unit, plans, loader, dest, stats):")
     w(1, "a = [0.0, 0, 0, 0, 0, 0, 0, 1, 0, 0]")
     w(1, "cycles = stats.cycles")
@@ -661,7 +730,7 @@ def _gen_deser_source(descriptor: MessageDescriptor,
     w(1, "stats.cycles = cycles")
     for slot, name in enumerate(_DESER_COUNTERS, start=1):
         w(1, f"stats.{name} = a[{slot}]")
-    return out.source(), spec
+    return out.chunks(), spec
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +739,8 @@ def _gen_deser_source(descriptor: MessageDescriptor,
 
 
 def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
-    """Emit the straight-line serializer module for ``descriptor``."""
+    """Emit the straight-line serializer for ``descriptor``: one
+    ``(name, source)`` chunk per function, plus the validation spec."""
     layouts = LayoutCache()
     order, descs = _type_order(descriptor)
     spec = _build_spec(descs, order, layouts)
@@ -735,6 +805,7 @@ def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
         hbo = layout.hasbits_offset
         nwords = max(1, -(-span // 64))
 
+        out.begin(f"_s{ti}")
         w(0, f"def _s{ti}(zs, obj, depth):")
         w(1, "mr, r64, push, begin, endm, s, wd, tp, unit, stats, arena "
              "= zs")
@@ -842,6 +913,7 @@ def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
 
     # Entry point: SerializerUnit.serialize runs it in place of the
     # interpretive frontend and keeps the per-operation charges.
+    out.begin("_ser_entry")
     w(0, "def _ser_entry(unit, plans, obj_addr, memwriter, stats):")
     w(1, "s = [stats.frontend_cycles, 0.0, 0, 0, 0, 0, 0, 0, 0, 0]")
     w(1, "tp = stats.tlb_penalty_cycles")
@@ -857,7 +929,7 @@ def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
     w(2, "unit.varint_unit.credit(encodes=s[8], zigzag_ops=s[9])")
     for slot, name in enumerate(_SER_COUNTERS):
         w(1, f"stats.{name} = s[{slot}]")
-    return out.source(), spec
+    return out.chunks(), spec
 
 
 # ---------------------------------------------------------------------------
@@ -867,19 +939,23 @@ def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
 _GENERATORS = {"deser": _gen_deser_source, "ser": _gen_ser_source}
 
 
-def _exec_namespace(source: str, tag: str) -> dict:
-    namespace = {
+#: Functions compiled with the kernel: the entry points the bindings hold
+#: and the root types every operation reaches.  Every other per-type
+#: function compiles the first time a message reaches it.
+_EAGER = ("_deser_entry", "_ser_entry", "_d0", "_s0")
+
+
+def _namespace(spec: list[dict]) -> dict:
+    return {
         "DecodeError": DecodeError,
         "dv": decode_varint,
         "ev": encode_varint,
         "_B1": _B1,
-        "_WTN": _WTN,
         "_dwd": _deser_watchdog,
         "_swd": _ser_watchdog,
-        "__source__": source,
+        "_dfb": _deser_fallback,
+        "_FB": [entry.get("fallback") for entry in spec],
     }
-    exec(compile(source, f"<codegen:{tag}>", "exec"), namespace)
-    return namespace
 
 
 def compiled_kernel(kind: str, descriptor: MessageDescriptor, schedule):
@@ -894,9 +970,11 @@ def compiled_kernel(kind: str, descriptor: MessageDescriptor, schedule):
     if value is not MISS:
         return value
     try:
-        source, spec = _GENERATORS[kind](descriptor, schedule)
-        namespace = _exec_namespace(
-            source, f"{kind}:{descriptor.full_name}:{fingerprint[:12]}")
+        chunks, spec = _GENERATORS[kind](descriptor, schedule)
+        namespace = install(
+            chunks, _namespace(spec),
+            f"<codegen:{kind}:{descriptor.full_name}:{fingerprint[:12]}>",
+            _EAGER)
         value = (namespace, spec)
     except Exception:
         # Any schema the generator cannot express runs interpreted.

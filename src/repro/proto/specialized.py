@@ -5,10 +5,13 @@ per-message ``MergePartialFromCodedStream`` whose field dispatch is a
 switch over expected tags, with varint decoding inlined at each case.
 This module gives the Python CPU-reference path the same tier: for a
 :class:`~repro.proto.descriptor.MessageDescriptor` it emits straight-line
-Python source -- a flat ``while`` loop whose tag switch is unrolled into
-per-field-number ``elif`` branches, varint decode inlined, values written
-directly into the message's slot storage -- compiles it with
-``compile()``/``exec``, and keeps the kernels on the descriptor.
+Python source, one function per reachable message type -- a flat
+``while`` loop whose tag switch is unrolled into per-field-number
+``elif`` branches, varint decode inlined, values written directly into
+the message's slot storage -- and keeps the kernels on the descriptor.
+The root type's functions compile with the kernels; every other type's
+compile the first time a message reaches that type
+(:mod:`repro.proto.lazy`).
 
 Correctness contract: a specialized kernel must be observationally
 identical to the interpretive path in :mod:`repro.proto.decoder` /
@@ -32,6 +35,7 @@ from __future__ import annotations
 from struct import pack as _struct_pack, unpack_from as _struct_unpack_from
 
 from repro.proto.errors import DecodeError, EncodeError
+from repro.proto.lazy import install
 from repro.proto.message import Message, RepeatedField
 from repro.proto.types import FieldType, WireType
 from repro.proto.varint import decode_varint, encode_varint, varint_length
@@ -89,11 +93,14 @@ def encoder_for(descriptor):
 
 
 def warm(schema) -> int:
-    """Pre-compile kernels for every message type in a schema.
+    """Build the kernels of every message type in a schema.
 
     Called from :func:`repro.proto.compiler.compile_schema` so generated
-    wrapper classes hit warm kernels on their first parse/serialize.
-    Returns the number of types with kernels available.
+    wrapper classes find their kernels built on their first
+    parse/serialize.  Each type's source is generated and its root
+    functions compiled; the functions of the types it reaches compile
+    when a message first reaches them.  Returns the number of types with
+    kernels available.
     """
     return sum(_kernels(descriptor)[0] is not None
                for descriptor in schema.messages())
@@ -122,17 +129,23 @@ def _type_order(root):
 
 
 class _W:
-    """Tiny indented source writer."""
+    """Tiny indented source writer keeping one chunk per function."""
 
     def __init__(self):
-        self.lines: list[str] = []
+        self._chunks: list[tuple[str, list[str]]] = []
         self.depth = 0
 
-    def w(self, line: str = "") -> None:
-        self.lines.append("    " * self.depth + line if line else "")
+    def begin(self, name: str) -> None:
+        """Start the chunk of the function ``name``."""
+        self._chunks.append((name, []))
 
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    def w(self, line: str = "") -> None:
+        line = "    " * self.depth + line if line else ""
+        self._chunks[-1][1].append(line)
+
+    def chunks(self) -> list[tuple[str, str]]:
+        return [(name, "\n".join(lines) + "\n")
+                for name, lines in self._chunks]
 
 
 def _varint_transform(ft: FieldType, p: str) -> str:
@@ -183,10 +196,11 @@ def _emit_inline_varint(w: _W, out: str) -> None:
     w.w(f"    {out}, _c = dv(data, pos); pos += _c")
 
 
-def _gen_parse_source(root) -> str:
+def _gen_parse_source(root) -> list[tuple[str, str]]:
     order, descs = _type_order(root)
     w = _W()
     for ti, d in enumerate(descs):
+        w.begin(f"_p{ti}")
         w.w(f"def _p{ti}(msg, data, pos, end, arena, keep_unknown):")
         w.depth += 1
         w.w("values = msg._values")
@@ -213,7 +227,7 @@ def _gen_parse_source(root) -> str:
         w.w('    raise DecodeError("message payload overran its length")')
         w.depth -= 1
         w.w()
-    return w.source()
+    return w.chunks()
 
 
 def _emit_field_branches(w: _W, order, ti: int, d, fd, first: bool) -> None:
@@ -358,12 +372,13 @@ def _scalar_size_expr(fd, v: str) -> str:
     return f"vl({_varint_payload_expr(ft, v)})"
 
 
-def _gen_encode_source(root) -> str:
+def _gen_encode_source(root) -> list[tuple[str, str]]:
     order, descs = _type_order(root)
     w = _W()
     for ti, d in enumerate(descs):
         _gen_size_fn(w, order, ti, d)
         _gen_emit_fn(w, order, ti, d)
+    w.begin("_encode_entry")
     w.w("def _encode_entry(msg):")
     w.depth += 1
     w.w("memo = []")
@@ -377,13 +392,14 @@ def _gen_encode_source(root) -> str:
     w.w('        f"{len(out)} -- internal inconsistency")')
     w.w("return bytes(out)")
     w.depth -= 1
-    return w.source()
+    return w.chunks()
 
 
 def _gen_size_fn(w: _W, order, ti: int, d) -> None:
     """The ByteSize pass: sub-message body sizes and encoded strings are
     stashed in ``memo`` in pre-order so the emit pass replays them
     without recomputation (the C++ library's cached-size trick)."""
+    w.begin(f"_sz{ti}")
     w.w(f"def _sz{ti}(msg, memo):")
     w.depth += 1
     w.w("values = msg._values")
@@ -461,6 +477,7 @@ def _emit_size_field(w: _W, order, ti: int, fd) -> None:
 
 
 def _gen_emit_fn(w: _W, order, ti: int, d) -> None:
+    w.begin(f"_e{ti}")
     w.w(f"def _e{ti}(msg, out, memo, mi):")
     w.depth += 1
     w.w("values = msg._values")
@@ -557,9 +574,15 @@ def _emit_scalar_out(w: _W, order, ti: int, fd, v: str) -> None:
 # ---------------------------------------------------------------------------
 # Compilation
 
+#: Functions compiled with the kernels: the two the callers hold and the
+#: root type's size and emit passes, which every serialization runs.
+#: Every other per-type function compiles the first time a message
+#: reaches its type.
+_EAGER = ("_p0", "_sz0", "_e0", "_encode_entry")
+
 
 def _build_kernels(root):
-    """Compile (parser, encoder) for ``root``; None when unsupported.
+    """Build (parser, encoder) for ``root``; None when unsupported.
 
     The parse side could fall back per-field, but the size/emit pass has
     no per-field escape hatch, so any unsupported field type disables
@@ -570,15 +593,9 @@ def _build_kernels(root):
             if fd.field_type not in _SUPPORTED:
                 return None
     try:
-        parse_src = _gen_parse_source(root)
-        encode_src = _gen_encode_source(root)
-        namespace = _namespace(root)
-        exec(compile(parse_src, f"<specialized-parse:{root.full_name}>",
-                     "exec"), namespace)
-        exec(compile(encode_src, f"<specialized-encode:{root.full_name}>",
-                     "exec"), namespace)
-        namespace["__parse_source__"] = parse_src
-        namespace["__encode_source__"] = encode_src
+        chunks = _gen_parse_source(root) + _gen_encode_source(root)
+        namespace = install(chunks, _namespace(root),
+                            f"<specialized:{root.full_name}>", _EAGER)
     except Exception:
         return None
     return namespace["_p0"], namespace["_encode_entry"]

@@ -1,10 +1,12 @@
 """Unit tests for the schema-specialized kernel tier (repro.accel.codegen).
 
 Covers the pieces the differential suite does not: the bounded LRU code
-cache and its counters, the driver's fast-path validation, and the
-per-operation tier choice under a fault plan: the bindings stay
+cache and its counters, the driver's fast-path validation, the
+per-operation tier choice under a fault plan (the bindings stay
 installed, an operation with a fault armed runs the interpretive FSM so
-its injection site still fires, and an unarmed one runs the kernel.
+its injection site still fires, and an unarmed one runs the kernel),
+and lazy compilation: a type's function compiles only once a message
+reaches it, and every function either generator emits compiles.
 """
 
 import pytest
@@ -17,7 +19,9 @@ from repro.faults import FaultPlan, FaultSite
 from repro.memory.timing import MemoryTimingModel
 from repro.proto import parse_schema
 from repro.proto.decoder import parse_message
+from repro.proto import specialized
 from repro.proto.descriptor import FieldDescriptor, MessageDescriptor
+from repro.proto.lazy import Stub
 from repro.soc.config import SoCConfig
 from repro.soc.pcie import PcieParams
 
@@ -196,3 +200,119 @@ def test_perf_surface_exposes_codegen_counters():
     assert misses > 0
     line = perf.render_codegen_line()
     assert "codegen cache" in line and "deser tiers:" in line
+
+
+# -- lazy compilation ---------------------------------------------------------
+
+_LAZY_SCHEMA = """
+    message Leaf { optional int32 v = 1; }
+    message Spare { optional string note = 1; optional Leaf leaf = 2; }
+    message Holder {
+      optional int32 a = 1;
+      optional Spare spare = 2;
+      repeated Leaf leaves = 3;
+    }
+"""
+
+
+def _holder(schema, with_spare: bool):
+    message = schema["Holder"].new_message()
+    message["a"] = 7
+    message["leaves"].add()["v"] = -3
+    if with_spare:
+        spare = message.mutable("spare")
+        spare["note"] = "reached"
+        spare.mutable("leaf")["v"] = 9
+    return message
+
+
+def _round_trip(device, schema, message):
+    root = schema["Holder"]
+    wire = message.serialize()
+    deser = device.deserialize(root, wire)
+    ser = device.serialize(root, device.load_object(message))
+    return (deser.stats, device.read_message(root, deser.dest_addr),
+            ser.stats, ser.data)
+
+
+def test_kernel_compiles_a_type_only_once_a_message_reaches_it():
+    schema = parse_schema(_LAZY_SCHEMA)
+    root = schema["Holder"]
+    order = codegen._type_order(root)[0]
+    spare = order[id(schema["Spare"])]
+    leaf = order[id(schema["Leaf"])]
+    device = ProtoAccelerator(deser_arena_bytes=1 << 20,
+                              ser_arena_bytes=1 << 20, fast_path="codegen")
+    device.register_schema(schema)
+    reference = ProtoAccelerator(deser_arena_bytes=1 << 20,
+                                 ser_arena_bytes=1 << 20, fast_path="interp")
+    reference.register_schema(schema)
+    deser_ns, _ = codegen.compiled_kernel("deser", root,
+                                          device.deserializer.schedule)
+    ser_ns, _ = codegen.compiled_kernel("ser", root,
+                                        device.serializer.schedule)
+
+    unreached = _holder(schema, with_spare=False)
+    assert (_round_trip(device, schema, unreached)
+            == _round_trip(reference, schema, unreached))
+    assert isinstance(deser_ns[f"_d{spare}"], Stub)
+    assert isinstance(ser_ns[f"_s{spare}"], Stub)
+    for name in ("_deser_entry", "_d0", f"_d{leaf}"):
+        assert not isinstance(deser_ns[name], Stub), name
+    for name in ("_ser_entry", "_s0", f"_s{leaf}"):
+        assert not isinstance(ser_ns[name], Stub), name
+
+    reached = _holder(schema, with_spare=True)
+    assert (_round_trip(device, schema, reached)
+            == _round_trip(reference, schema, reached))
+    assert not isinstance(deser_ns[f"_d{spare}"], Stub)
+    assert not isinstance(ser_ns[f"_s{spare}"], Stub)
+
+
+def _guard_roots():
+    """Every root type a workload or a test compiles kernels for."""
+    from repro.hyperprotobench.workload import bench_names, generate_bench
+    from repro.serve.replay import FLEET_TEMPLATES
+    from repro.serve.workload import SERVING_SCHEMA
+    from tests.accel.test_codegen_diff import (
+        _FALLBACK_SCHEMA, _PROBE_SCHEMA, _VICTIM_SCHEMA)
+
+    roots = []
+    for seed in (0, 3, 8):  # the published inputs, then the churn seeds
+        for name in bench_names():
+            roots.append(pytest.param(
+                generate_bench(name, seed=seed, batch=1).root,
+                id=f"{name}@{seed}"))
+    schemas = {f"fleet-{name}": parse_schema(proto)
+               for name, proto in FLEET_TEMPLATES.items()}
+    schemas.update(serving=parse_schema(SERVING_SCHEMA), codegen=_SCHEMA,
+                   lazy=parse_schema(_LAZY_SCHEMA), victim=_VICTIM_SCHEMA,
+                   probe=_PROBE_SCHEMA, fallback=_FALLBACK_SCHEMA)
+    for label, schema in schemas.items():
+        for descriptor in schema.messages():
+            roots.append(pytest.param(
+                descriptor, id=f"{label}:{descriptor.full_name}"))
+    return roots
+
+
+@pytest.mark.parametrize("root", _guard_roots())
+def test_every_generated_function_compiles(root):
+    """Compiling only reached types would leave an emitter bug in a type
+    no test message reaches unseen, so compile every chunk of both tiers'
+    generators here, each of which must define exactly its own name."""
+    device = ProtoAccelerator()
+    chunk_lists = {
+        "deser": codegen._gen_deser_source(
+            root, device.deserializer.schedule)[0],
+        "ser": codegen._gen_ser_source(root, device.serializer.schedule)[0],
+        "parse": specialized._gen_parse_source(root),
+        "encode": specialized._gen_encode_source(root),
+    }
+    for kind, chunks in chunk_lists.items():
+        names = [name for name, _ in chunks]
+        assert len(set(names)) == len(names), kind
+        for name, source in chunks:
+            defined: dict = {}
+            exec(compile(source, f"<{kind}:{name}>", "exec"), defined)
+            assert [key for key in defined if key != "__builtins__"] \
+                == [name], (kind, name)

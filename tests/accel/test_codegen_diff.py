@@ -5,11 +5,13 @@ arbitrary valid messages, on adversarially mutated wire, and on the
 PR 2 known-bad vector corpus, the two accelerator tiers must produce
 identical messages, identical modeled stats (cycles included), and
 identical structured errors -- under the default device and under
-variants of the knobs the ablations sweep.  A final set runs fault
-injection with ``fast_path="codegen"``: every named site still fires
-(an operation with a fault armed runs the interpretive FSM, the next
-unarmed one a kernel), and a dense seeded plan over every site gives
-results identical to an all-interp device on both attach points.
+variants of the knobs the ablations sweep.  Explicit wire cases cover
+every branch of the kernels' shared cold path for unexpected keys, on
+failure down to the cycle stamp and the state left behind.  A final set
+runs fault injection with ``fast_path="codegen"``: every named site
+still fires (an operation with a fault armed runs the interpretive FSM,
+the next unarmed one a kernel), and a dense seeded plan over every site
+gives results identical to an all-interp device on both attach points.
 """
 
 import dataclasses
@@ -182,6 +184,112 @@ def test_known_bad_vectors_rejected_identically(data):
     assert codegen_error.site == interp_error.site
     assert codegen_error.cycle == interp_error.cycle
     assert not codegen_error.injected
+
+
+# -- the kernels' shared cold path --------------------------------------------
+
+#: Field numbers 2..10 with holes at 5 and 8; 1 and 11+ are out of range.
+_FALLBACK_SCHEMA = parse_schema("""
+    message Sub { optional int32 v = 1; }
+    message Empty { }
+    message Gappy {
+      optional int32 a = 2;
+      repeated string names = 3;
+      optional Sub sub = 4;
+      repeated int32 nums = 6;
+      repeated Sub subs = 7;
+      optional fixed64 f = 9;
+      optional Empty none = 10;
+    }
+""")
+
+_NUM = "3001"      # nums = 1: opens field 6's repeated region
+_NAME = "1a0178"   # names = "x": opens field 3's repeated region
+_FIXED64 = "00" * 8
+_FIXED32 = "00" * 4
+
+#: Keys no branch of a type's kernel function expects, each after a valid
+#: prefix so an open repeated region gets closed or reopened first.
+_FALLBACK_CASES = {
+    # A wrong wire type on a defined field.
+    "scalar-wrong-wire": "1002" + _NUM + "11" + _FIXED64,
+    "fixed-wrong-wire": _NAME + "4801",
+    "repeated-scalar-wrong-wire-opens": _NAME + "35" + _FIXED32,
+    "repeated-scalar-wrong-wire-reopens": _NUM + _NAME + "35" + _FIXED32,
+    "repeated-scalar-wrong-wire-same-region": _NUM + "35" + _FIXED32,
+    "repeated-string-wrong-wire": _NUM + "1801",
+    "repeated-message-wrong-wire": _NAME + "3801",
+    "submessage-wrong-wire": _NUM + "2001",
+    "nested-wrong-wire": _NUM + "22050d" + _FIXED32,
+    # In-range holes, every wire type.
+    "hole-varint": _NUM + "2801" + "4096 01",
+    "hole-fixed64": _NAME + "29" + _FIXED64,
+    "hole-length-delimited": "2a02abcd" + _NUM,
+    "hole-fixed32": "2d" + _FIXED32 + _NAME,
+    "hole-start-group": _NUM + "2b",
+    "hole-end-group": "2c",
+    "hole-truncated-varint": _NUM + "28",
+    "hole-truncated-fixed64": "29" + "00" * 3,
+    "hole-truncated-fixed32": _NAME + "2d00",
+    "hole-truncated-length": "2a05ab",
+    # Out-of-range unknowns, every wire type, below and above the range.
+    "below-varint": "0801" + _NUM,
+    "below-fixed64": "09" + _FIXED64,
+    "below-length-delimited": _NAME + "0a01ff",
+    "below-fixed32": "0d" + _FIXED32,
+    "below-start-group": "0b",
+    "above-varint": _NUM + "6001",
+    "above-fixed64": "61" + _FIXED64 + _NAME,
+    "above-length-delimited": "6202abcd",
+    "above-fixed32": "65" + _FIXED32,
+    "above-end-group": _NUM + "64",
+    "above-two-byte-key": "c03e01" + _NUM,
+    "empty-type-unknown": "52020801" + _NUM,
+    "nested-unknown": "220310" + "9601",
+    # Invalid keys.
+    "invalid-wire-type-6": _NUM + "0e",
+    "invalid-wire-type-7": "0f00",
+    "invalid-wire-type-defined-number": "16",
+    "invalid-field-number": _NAME + "0001",
+    "empty-type-invalid-wire-type": "52010f",
+}
+
+#: A valid message run after each case, so state the case left behind
+#: (arena fill, ADT entry cache) shows up in its stats.
+_FOLLOW_UP = bytes.fromhex(_NUM + _NAME + "22020801" + "3a020802" + "1005")
+
+
+@pytest.mark.parametrize("setup", _SETUPS)
+@pytest.mark.parametrize("hexdata", _FALLBACK_CASES.values(),
+                         ids=_FALLBACK_CASES.keys())
+def test_fallback_paths_identical_across_tiers(setup, hexdata):
+    """Success or failure, both tiers leave the same verdict, cycle
+    stamp, varint-unit and ADT-cache counters and arena fill, and a
+    valid message decoded next gets the same stats."""
+    root = _FALLBACK_SCHEMA["Gappy"]
+    data = bytes.fromhex(hexdata.replace(" ", ""))
+    outcomes = []
+    for device in _accel_pair(_FALLBACK_SCHEMA, setup):
+        unit = device.deserializer
+        before = tiers.counters()
+        try:
+            result = device.deserialize(root, data)
+            verdict = ("ok", result.stats,
+                       device.read_message(root, result.dest_addr))
+        except DecodeError as error:
+            verdict = ("err", type(error), str(error), error.site,
+                       error.cycle)
+        landed = _tier_delta(before, "deser")
+        state = (unit.varint_unit.decodes, unit.varint_unit.zigzag_ops,
+                 unit._adt_cache.hits, unit._adt_cache.misses,
+                 unit._arena.bytes_used)
+        after = device.deserialize(root, _FOLLOW_UP)
+        outcomes.append((landed, verdict, state, after.stats,
+                         device.read_message(root, after.dest_addr)))
+    (interp_landed, *interp), (codegen_landed, *codegen) = outcomes
+    assert interp_landed == {"interp": 1, "codegen": 0}
+    assert codegen_landed == {"interp": 0, "codegen": 1}
+    assert codegen == interp
 
 
 # -- fault-plan interaction ---------------------------------------------------

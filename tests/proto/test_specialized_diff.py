@@ -5,14 +5,17 @@
 interpretive decoder/encoder when one is.  The kernels' contract is
 observational identity: on valid and adversarially mutated wire, both
 paths return equal messages and equal bytes, or raise the same exception
-type with the same text.
+type with the same text.  A type's kernel functions compile only once a
+message reaches that type, and then still match the interpretive path.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.proto import parse_schema, specialized
 from repro.proto.decoder import parse_message
 from repro.proto.encoder import serialize_message
+from repro.proto.lazy import Stub
 from repro.proto.trace import Trace
 
 from tests.strategies import schema_wire_and_mutant
@@ -47,3 +50,48 @@ def test_kernels_match_interpretive_path(triple, keep_unknown):
         traced = _outcome(lambda: serialize_message(
             message, trace=Trace(), check_required=False))
         assert encoded == traced
+
+
+_LAZY_SCHEMA = """
+    message Leaf { optional int32 v = 1; }
+    message Spare { optional string note = 1; optional Leaf leaf = 2; }
+    message Holder {
+      optional int32 a = 1;
+      optional Spare spare = 2;
+      repeated Leaf leaves = 3;
+    }
+"""
+
+
+def test_kernels_compile_a_type_only_once_a_message_reaches_it():
+    schema = parse_schema(_LAZY_SCHEMA)
+    root = schema["Holder"]
+    order = specialized._type_order(root)[0]
+    spare = order[id(schema["Spare"])]
+    leaf = order[id(schema["Leaf"])]
+    namespace = specialized.parser_for(root).__globals__
+    stubs = (f"_p{spare}", f"_sz{spare}", f"_e{spare}")
+
+    def round_trip(message):
+        wire = serialize_message(message)
+        assert wire == serialize_message(message, trace=Trace())
+        parsed = parse_message(root, wire)
+        assert parsed == parse_message(root, wire, trace=Trace())
+        assert serialize_message(parsed) == wire
+
+    message = root.new_message()
+    message["a"] = 7
+    message["leaves"].add()["v"] = -3
+    round_trip(message)
+    for name in stubs:
+        assert isinstance(namespace[name], Stub), name
+    for name in ("_p0", "_sz0", "_e0", "_encode_entry",
+                 f"_p{leaf}", f"_sz{leaf}", f"_e{leaf}"):
+        assert not isinstance(namespace[name], Stub), name
+
+    spare_message = message.mutable("spare")
+    spare_message["note"] = "reached"
+    spare_message.mutable("leaf")["v"] = 9
+    round_trip(message)
+    for name in stubs:
+        assert not isinstance(namespace[name], Stub), name
