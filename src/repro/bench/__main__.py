@@ -51,10 +51,9 @@ def main(argv: list[str]) -> int:
                else args.figures)
     plan = (FaultPlan(seed=args.fault_seed, rate=args.fault_rate)
             if args.fault_rate > 0 else None)
-    # The one jobs/faults entry point, shared with scripts/
-    # bench_speed.py: run_many reads these options and the shared pool
-    # initializer (repro.bench.pool.warm_worker) installs them in
-    # every worker process.
+    # run_many reads these options and the shared pool initializer
+    # (repro.bench.pool.warm_worker) installs them in every worker
+    # process.
     set_options(jobs=args.jobs, fault_plan=plan)
     for target in targets:
         generator = ALL_FIGURES.get(target)

@@ -1,4 +1,4 @@
-"""Host-parallel fleet scaling measurement (``--fleet --jobs N``).
+"""Host-parallel fleet scaling measurement (``scripts/bench_speed.py``).
 
 The fleet sweep proves shard count never changes charging; this module
 measures what host parallelism buys on top: the same 1k-message replay
@@ -8,18 +8,18 @@ run serially and with one worker process per shard
 * **byte-identity** -- a sha256 digest over every call's charging
   signature (status, response bytes, accelerator cycles, CPU cycles);
   the parallel digests must equal the serial one exactly, and the
-  serial digest is committed in ``BENCH_fleet.json`` so CI catches any
+  serial digest is committed in ``BENCH_exact.json`` so CI catches any
   execution mode drifting from the baseline;
 * **measured wall-clock speedup** -- serial wall over parallel wall,
   which is physically bounded by the machine's usable cores
   (:func:`repro.bench.pool.effective_cores`); and
-* **ideal speedup** -- per-shard worker CPU seconds (reported by each
-  worker, deterministic in shape) scheduled LPT onto ``jobs`` machines:
-  the speedup this replay's shard balance supports when cores are not
-  the constraint.  On a single-core runner the measured figure
-  degenerates to ~1x while the ideal figure still gates the shard
-  partition (a skewed ring that serialises on one shard fails it on
-  any machine).
+* **ideal speedup** (a model, not a measurement) -- per-shard worker
+  CPU seconds (reported by each worker, deterministic in shape)
+  scheduled LPT onto ``jobs`` machines: the speedup this replay's shard
+  balance supports when cores are not the constraint.  On a
+  single-core runner the measured figure degenerates to ~1x while the
+  model still gates the shard partition (a skewed ring that
+  serialises on one shard fails it on any machine).
 
 The scaling replay uses more tenants than the sweep default (48 vs 4):
 with 4 tenants the ring parks everything on 2 of 4 shards, and no

@@ -15,18 +15,9 @@ one protobuf field type, pre-populated into a batch:
   the paper's largest bytes-field buckets.
 - ``bool-SUB``, ``double-SUB``, ``string-SUB``: one sub-message field per
   message, exercising sub-message allocation/context handling.
-
-A separate host-time microbenchmark (:func:`time_codegen_microbench`)
-times the accelerator simulation's two execution tiers -- the schema-
-specialized codegen kernels vs the interpretive FSM -- per field type.
-Unlike everything above it measures *wall-clock seconds on the
-simulation host*, not modeled cycles (those are bit-identical across
-tiers by construction).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.bench.runner import Workload
 from repro.proto.descriptor import FieldDescriptor, MessageDescriptor, Schema
@@ -207,82 +198,3 @@ def build_microbench(name: str, batch: int = DEFAULT_BATCH) -> Workload:
         outer, _ = _sub_message_type(name.replace("-SUB", "Sub"), inner_type)
         return Workload(name, outer, _populate_sub(outer, inner_type, batch))
     raise ValueError(f"unknown microbenchmark {name!r}")
-
-
-#: Field-type cases of the codegen-vs-interpreter host-time benchmark.
-CODEGEN_CASES = ("varint", "bytes", "submsg")
-
-
-def build_codegen_case(case: str, batch: int = DEFAULT_BATCH) -> Workload:
-    """One workload per codegen microbenchmark field-type case."""
-    if case == "varint":
-        descriptor = _scalar_message_type(
-            "cg-varint", FieldType.UINT64, _FIELDS_PER_MESSAGE,
-            repeated=False)
-        return Workload("codegen-varint", descriptor,
-                        _populate_varint(descriptor, 5, False, batch))
-    if case == "bytes":
-        descriptor = _scalar_message_type("cg-bytes", FieldType.BYTES, 1,
-                                          repeated=False)
-        messages = []
-        for index in range(batch):
-            message = descriptor.new_message()
-            message["f1"] = bytes((index + i) & 0xFF for i in range(512))
-            messages.append(message)
-        return Workload("codegen-bytes", descriptor, messages)
-    if case == "submsg":
-        outer, _ = _sub_message_type("CgSub", FieldType.STRING)
-        return Workload("codegen-submsg", outer,
-                        _populate_sub(outer, FieldType.STRING, batch))
-    raise ValueError(f"unknown codegen case {case!r}")
-
-
-def time_codegen_microbench(cases=CODEGEN_CASES,
-                            batch: int = DEFAULT_BATCH,
-                            repeat: int = 3) -> list[dict]:
-    """Wall-clock host seconds per tier, per field-type case.
-
-    Returns one row per (case, operation) with ``interp_seconds``,
-    ``codegen_seconds`` (best of ``repeat``), and ``speedup``.  Each
-    tier gets a warm-up pass first so kernel compilation and ADT-cache
-    population are excluded from the timed region.
-    """
-    from repro.accel.driver import ProtoAccelerator
-    rows = []
-    for case in cases:
-        workload = build_codegen_case(case, batch)
-        buffers = workload.wire_buffers()
-        for operation in ("deserialize", "serialize"):
-            seconds = {}
-            for fast_path in ("interp", "codegen"):
-                accel = ProtoAccelerator(fast_path=fast_path)
-                accel.register_types([workload.descriptor])
-                if operation == "deserialize":
-                    def body():
-                        for buffer in buffers:
-                            accel.deserialize(workload.descriptor, buffer,
-                                              auto_renew_arena=True)
-                else:
-                    addresses = [accel.load_object(m)
-                                 for m in workload.messages]
-
-                    def body():
-                        for addr in addresses:
-                            accel.serialize(workload.descriptor, addr)
-                body()  # warm-up: compile kernels, fill caches
-                best = float("inf")
-                for _ in range(repeat):
-                    start = time.perf_counter()
-                    body()
-                    best = min(best, time.perf_counter() - start)
-                seconds[fast_path] = best
-            rows.append({
-                "case": case,
-                "operation": operation,
-                "interp_seconds": seconds["interp"],
-                "codegen_seconds": seconds["codegen"],
-                "speedup": (seconds["interp"] / seconds["codegen"]
-                            if seconds["codegen"] else float("inf")),
-            })
-    return rows
-

@@ -220,20 +220,21 @@ def resize_table(rows: Sequence[dict]) -> str:
 
 
 def scaling_table(rows: Sequence[dict], width: int = 30) -> str:
-    """Render the host-parallel scaling rows (``--fleet --jobs N``).
+    """Render the host-parallel scaling rows.
 
     ``rows`` come from :func:`repro.bench.fleet.measure_scaling`: one
     row per jobs level over the same seeded replay.  ``bit-id`` is the
     acceptance column -- every parallel row's charging digest must
-    equal the serial one.  ``ideal`` is the LPT bound the shard balance
-    supports; ``meas`` approaches it only when the machine has at least
-    ``jobs`` usable cores (the ``cores`` column says what this run
-    could use).
+    equal the serial one.  ``LPT model`` is a model, not a measurement:
+    the speedup an LPT schedule of the per-shard busy times supports.
+    ``meas`` is measured, and approaches the model only when the
+    machine has at least ``jobs`` usable cores (the ``cores`` column
+    says what this run could use).
     """
     if not rows:
         raise ValueError("no scaling rows to render")
     header = (f"{'jobs':>4} {'mode':<9} {'shards':>6} {'wall s':>8} "
-              f"{'meas x':>7} {'ideal x':>8} {'cores':>5} "
+              f"{'meas x':>7} {'LPT model x':>11} {'cores':>5} "
               f"{'deviations':>10} {'bit-id':>6}")
     first = rows[0]
     lines = [f"host-parallel scaling ({first['messages']:,} messages, "
@@ -241,7 +242,7 @@ def scaling_table(rows: Sequence[dict], width: int = 30) -> str:
              header, "-" * len(header)]
     for row in rows:
         ideal = row.get("ideal_speedup")
-        ideal_text = "--".rjust(8) if ideal is None else f"{ideal:>7.2f}x"
+        ideal_text = "--".rjust(11) if ideal is None else f"{ideal:>10.2f}x"
         lines.append(
             f"{row['jobs']:>4} {row['mode']:<9} {row['shards']:>6} "
             f"{row['wall_seconds']:>8.2f} {row['speedup']:>6.2f}x "
@@ -250,7 +251,8 @@ def scaling_table(rows: Sequence[dict], width: int = 30) -> str:
             f"{'yes' if row['cycles_identical'] else 'NO':>6}")
     peak = max((row.get("ideal_speedup") or 1.0) for row in rows)
     lines.append("")
-    lines.append("ideal (LPT) speedup by jobs:")
+    lines.append("LPT-model speedup by jobs (a model of the shard balance, "
+                 "not a measurement):")
     for row in rows:
         value = row.get("ideal_speedup") or 1.0
         share = value / peak if peak else 0.0
@@ -325,32 +327,3 @@ def transport_crossover_table(crossovers: Sequence[dict]) -> str:
             f"{row['rocc_per_op_at_max_batch']:>13.2f} "
             f"{row['pcie_per_op_at_max_batch']:>13.2f}")
     return "\n".join(lines)
-
-
-def codegen_speedup_table(rows: Sequence[dict]) -> str:
-    """Render the codegen-vs-interpreter host-time microbenchmark.
-
-    ``rows`` come from :func:`repro.bench.microbench.
-    time_codegen_microbench`: one dict per (field-type case, operation)
-    with best-of-N wall-clock seconds on each execution tier.  These are
-    *simulation host* seconds -- modeled accelerator cycles are
-    bit-identical across tiers, which is the point: codegen buys wall
-    clock, not cycles.
-    """
-    if not rows:
-        raise ValueError("no codegen microbenchmark rows to render")
-    header = (f"{'case':<10} {'operation':<12} {'interp s':>10} "
-              f"{'codegen s':>10} {'speedup':>9}")
-    lines = ["codegen vs interpreter (host wall-clock, modeled cycles "
-             "identical)", header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['case']:<10} {row['operation']:<12} "
-            f"{row['interp_seconds']:>10.4f} "
-            f"{row['codegen_seconds']:>10.4f} "
-            f"{row['speedup']:>8.2f}x")
-    lines.append("-" * len(header))
-    overall = geomean(row["speedup"] for row in rows)
-    lines.append(f"{'geomean':<23} {'':>10} {'':>10} {overall:>8.2f}x")
-    return "\n".join(lines)
-

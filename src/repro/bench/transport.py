@@ -30,11 +30,6 @@ from repro.soc.transport import TRANSPORTS
 SWEEP_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 SWEEP_BATCHES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
-#: CI smoke grid: enough points to exercise the crossover and the
-#: monotone-amortisation gate without the full sweep's runtime.
-SMOKE_SIZES = (32, 128, 512)
-SMOKE_BATCHES = (1, 8, 64, 256)
-
 
 def build_sized_workload(size: int, batch: int) -> Workload:
     """A batch of single-string messages with ``size`` payload bytes.

@@ -122,8 +122,13 @@ class CpuParams:
         raise ValueError(f"unknown trace op {op}")
 
     def trace_cycles(self, trace: Trace, cold_memcpy: bool = False) -> float:
-        return sum(self.event_cycles(op, arg, cold_memcpy)
-                   for op, arg in trace)
+        # Plain left-to-right addition, not sum(): from CPython 3.12 on,
+        # sum() of floats is compensated, which would make cycle totals
+        # depend on the interpreter version.
+        total = 0.0
+        for op, arg in trace:
+            total += self.event_cycles(op, arg, cold_memcpy)
+        return total
 
 
 @dataclass

@@ -23,8 +23,8 @@ open-loop arrival process with deterministic seeds:
   (``tests/serve/test_fleet_replay.py``).
 
 ``workload="echo"`` swaps the fleet templates for per-tenant copies of
-the PR 3 Echo schema -- the acceptance workload for the 1 -> 4 shard
-p99/throughput curves in ``BENCH_fleet.json``.
+the serving benchmark's Echo schema -- the acceptance workload for the
+1 -> 4 shard p99/throughput curves in ``BENCH_exact.json``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ interarrivals on the simulated cycle clock) against an Echo-style
 service, and sweeps the offered load to show graceful degradation: as
 load climbs past tile capacity the shed rate rises while the p99
 latency of *admitted* calls stays bounded by the deadline
-(docs/SERVING.md; ``scripts/bench_speed.py --serve``).
+(docs/SERVING.md; the serving section of ``scripts/bench_speed.py``).
 """
 
 from __future__ import annotations
