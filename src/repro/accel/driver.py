@@ -466,7 +466,8 @@ class ProtoAccelerator:
     def read_message(self, descriptor: MessageDescriptor,
                      addr: int) -> Message:
         """Read an object image back as a Message (what user-code accessors
-        would observe)."""
+        would observe), walking the type's image plan
+        (repro.memory.layout.ImagePlan)."""
         return read_message_image(self.memory, descriptor, addr,
                                   self.layouts)
 
@@ -474,7 +475,10 @@ class ProtoAccelerator:
 
     def load_object(self, message: Message) -> int:
         """Materialise ``message`` as a C++ object image on the software
-        heap (the state an application builds up before serializing)."""
+        heap (the state an application builds up before serializing).
+
+        Re-populates the type's ADTs, then writes the image by walking
+        the type's image plan (repro.memory.layout.ImagePlan)."""
         self.adts.build([message.descriptor])
         return write_message_image(self.memory, self.memory.allocate,
                                    message, self.layouts)

@@ -175,7 +175,7 @@ class SerializerUnit:
         self._tlb = Tlb(self.config.tlb_entries, self.config.ptw_cycles)
         self.faults = None
         #: Optional per-operation cycle-budget watchdog (an object with
-        #: ``budget_cycles`` and ``aborts``; see repro.serve.watchdog).
+        #: ``budget_cycles`` and ``aborts``; see repro.accel.watchdog).
         self.watchdog = None
         #: KernelBinding installed by the driver (repro.accel.codegen);
         #: None runs interpreted.

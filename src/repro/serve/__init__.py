@@ -8,13 +8,16 @@ See docs/SERVING.md.  The layer composes, per call:
 * per-tile circuit breakers and a serving-level health state machine
   (:mod:`repro.serve.breaker`);
 * an FSM watchdog bounding worst-case per-operation accelerator cycles
-  (:mod:`repro.serve.watchdog`);
+  (:mod:`repro.accel.watchdog`: the budget comparator is a property of
+  the device; serving configures it through
+  ``ServePolicy.watchdog_budget_cycles``);
 * hedged retries across tiles under the shared-uncore contention model
   (:mod:`repro.serve.hedging`);
 * the :class:`~repro.serve.server.ResilientServer` tying them together
   over :mod:`repro.proto.rpc` services (:mod:`repro.serve.server`).
 """
 
+from repro.accel.watchdog import FsmWatchdog
 from repro.serve.breaker import (
     BreakerPolicy,
     BreakerState,
@@ -82,7 +85,6 @@ from repro.serve.tenants import (
     TenantPolicy,
     TenantRegistry,
 )
-from repro.serve.watchdog import FsmWatchdog
 from repro.serve.workload import (
     ServingWorkloadSpec,
     build_echo_server,
