@@ -171,48 +171,53 @@ def _resolve_plans(memory, adt_addr: int, spec: list[dict]):
     ...)`` or ``None`` when the live image disagrees with the spec (the
     binding then falls back to the interpreter)."""
     plans: list = [None] * len(spec)
-
-    def walk(addr: int, ti: int) -> bool:
-        plan = plans[ti]
-        if plan is not None:
-            return plan[0] == addr + ADT_HEADER_BYTES
-        entry = spec[ti]
-        view = AdtView(memory, addr)
-        if (view.min_field_number != entry["min"]
-                or view.max_field_number != entry["max"]
-                or view.hasbits_offset != entry["hbo"]
-                or view.object_size != entry["size"]):
-            return False
-        span = entry["span"]
-        if span:
-            raw = bytes(memory.read(addr + ADT_HEADER_BYTES,
-                                    span * ADT_ENTRY_BYTES))
-            expected = entry["entries"]
-            for index in range(span):
-                base = index * ADT_ENTRY_BYTES
-                # Sub-ADT pointer bytes [8:16] are per-build; everything
-                # else must match the generator's assumed image exactly.
-                if raw[base:base + 8] != expected[base:base + 8]:
-                    return False
-            if bytes(memory.read(addr + 32, 32)) != entry["oneof"]:
-                return False
-        plan = [addr + ADT_HEADER_BYTES]
-        plans[ti] = plan
-        for number, sub_ti in entry["msg"]:
-            decoded = view.entry(number)
-            if decoded is None or not decoded.defined \
-                    or decoded.sub_adt_ptr == 0:
-                return False
-            sub_view = AdtView(memory, decoded.sub_adt_ptr)
-            plan.append(decoded.sub_adt_ptr)
-            plan.append(sub_view.default_vptr)
-            if not walk(decoded.sub_adt_ptr, sub_ti):
-                return False
-        return True
-
-    if not walk(adt_addr, 0):
+    if not _walk_plans(memory, spec, plans, adt_addr, 0):
         return None
     return [tuple(plan) for plan in plans]
+
+
+def _walk_plans(memory, spec: list[dict], plans: list, addr: int,
+                ti: int) -> bool:
+    """Fill ``plans`` for type ``ti`` at ``addr`` and everything it
+    reaches; False on the first disagreement with ``spec``.  A module
+    function, not a closure: a recursive closure is a reference cycle
+    that would keep ``memory`` alive until a garbage collection."""
+    plan = plans[ti]
+    if plan is not None:
+        return plan[0] == addr + ADT_HEADER_BYTES
+    entry = spec[ti]
+    view = AdtView(memory, addr)
+    if (view.min_field_number != entry["min"]
+            or view.max_field_number != entry["max"]
+            or view.hasbits_offset != entry["hbo"]
+            or view.object_size != entry["size"]):
+        return False
+    span = entry["span"]
+    if span:
+        raw = bytes(memory.read(addr + ADT_HEADER_BYTES,
+                                span * ADT_ENTRY_BYTES))
+        expected = entry["entries"]
+        for index in range(span):
+            base = index * ADT_ENTRY_BYTES
+            # Sub-ADT pointer bytes [8:16] are per-build; everything
+            # else must match the generator's assumed image exactly.
+            if raw[base:base + 8] != expected[base:base + 8]:
+                return False
+        if bytes(memory.read(addr + 32, 32)) != entry["oneof"]:
+            return False
+    plan = [addr + ADT_HEADER_BYTES]
+    plans[ti] = plan
+    for number, sub_ti in entry["msg"]:
+        decoded = view.entry(number)
+        if decoded is None or not decoded.defined \
+                or decoded.sub_adt_ptr == 0:
+            return False
+        sub_view = AdtView(memory, decoded.sub_adt_ptr)
+        plan.append(decoded.sub_adt_ptr)
+        plan.append(sub_view.default_vptr)
+        if not _walk_plans(memory, spec, plans, decoded.sub_adt_ptr, sub_ti):
+            return False
+    return True
 
 
 def _oneof_word_masks(descriptor: MessageDescriptor) -> dict[str, tuple]:
@@ -702,7 +707,7 @@ def _gen_deser_source(descriptor: MessageDescriptor,
     top_layout = layouts.layout(descriptor)
     top_words = max(1, -(-descriptor.field_number_span // 64))
     out.begin("_deser_entry")
-    w(0, "def _deser_entry(unit, plans, loader, dest, stats):")
+    w(0, "def _deser_entry(plans, unit, loader, dest, stats):")
     w(1, "a = [0.0, 0, 0, 0, 0, 0, 0, 1, 0, 0]")
     w(1, "cycles = stats.cycles")
     w(1, "data = loader.prefetched()")
@@ -914,7 +919,7 @@ def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
     # Entry point: SerializerUnit.serialize runs it in place of the
     # interpretive frontend and keeps the per-operation charges.
     out.begin("_ser_entry")
-    w(0, "def _ser_entry(unit, plans, obj_addr, memwriter, stats):")
+    w(0, "def _ser_entry(plans, unit, obj_addr, memwriter, stats):")
     w(1, "s = [stats.frontend_cycles, 0.0, 0, 0, 0, 0, 0, 0, 0, 0]")
     w(1, "tp = stats.tlb_penalty_cycles")
     w(1, "wd = unit.watchdog.budget_cycles "
@@ -989,18 +994,20 @@ class KernelBinding:
     Owns a small map ``{adt_addr: (schedule, kernel | None)}``; entries
     recompute when the unit's schedule is rebuilt, and resolve to
     ``None`` whenever the live ADT image disagrees with the generator's
-    assumptions."""
+    assumptions.  The binding does not hold its unit (the unit holds
+    the binding): the unit passes its schedule to :meth:`kernel_for`
+    and itself to the kernel, ``kernel(unit, ...)``, so a dead device
+    is freed by reference counting."""
 
-    def __init__(self, unit, resolver: Callable[[int], MessageDescriptor],
+    def __init__(self, memory, resolver: Callable[[int], MessageDescriptor],
                  kind: str):
-        self.unit = unit
+        self.memory = memory
         self.resolver = resolver
         self.kind = kind
         self._kernels: dict[int, tuple] = {}
 
-    def kernel_for(self, adt_addr: int) -> Optional[Callable]:
+    def kernel_for(self, adt_addr: int, schedule) -> Optional[Callable]:
         cached = self._kernels.get(adt_addr)
-        schedule = self.unit.schedule
         if cached is not None and cached[0] is schedule:
             return cached[1]
         kernel = self._build(adt_addr, schedule)
@@ -1016,20 +1023,20 @@ class KernelBinding:
         if compiled is None:
             return None
         namespace, spec = compiled
-        plans = _resolve_plans(self.unit.memory, adt_addr, spec)
+        plans = _resolve_plans(self.memory, adt_addr, spec)
         if plans is None:
             return None
         entry = namespace["_deser_entry" if self.kind == "deser"
                           else "_ser_entry"]
-        return functools.partial(entry, self.unit, plans)
+        return functools.partial(entry, plans)
 
 
 def bind_deserializer(unit, resolver) -> KernelBinding:
     """Create the codegen binding the driver installs on a deserializer
     unit (``unit.codegen``); ``resolver`` maps adt_addr -> descriptor."""
-    return KernelBinding(unit, resolver, "deser")
+    return KernelBinding(unit.memory, resolver, "deser")
 
 
 def bind_serializer(unit, resolver) -> KernelBinding:
     """Create the codegen binding for a serializer unit."""
-    return KernelBinding(unit, resolver, "ser")
+    return KernelBinding(unit.memory, resolver, "ser")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from repro.accel import tiers
 from repro.accel.adt import AdtEntry, AdtView
 from repro.accel.memloader import Memloader
+from repro.accel.perf import OpStats
 from repro.accel.utf8_unit import Utf8ValidationUnit
 from repro.accel.varint_unit import CombinationalVarintUnit
 from repro.faults.plan import FaultSite
@@ -144,48 +145,15 @@ class DeserSchedule:
 
 
 @dataclass
-class DeserStats:
+class DeserStats(OpStats):
     """Outcome of one deserialization operation."""
 
-    cycles: float = 0.0
     wire_bytes: int = 0
     fields_parsed: int = 0
     unknown_fields_skipped: int = 0
-    submessages: int = 0
-    strings: int = 0
-    repeated_elements: int = 0
     arena_bytes: int = 0
     adt_cache_hits: int = 0
     adt_cache_misses: int = 0
-    max_stack_depth: int = 0
-    stack_spills: int = 0
-    tlb_penalty_cycles: float = 0.0
-    #: Attach-point cost (RoCC dispatch or PCIe queue-pair work) charged
-    #: by the transport, NOT included in ``cycles`` -- the unit's own
-    #: cycle count is transport-independent (docs/MODEL.md).
-    transport_cycles: float = 0.0
-    # Fault-recovery accounting (all zero on the fault-free path).
-    faults_injected: int = 0
-    fault_retries: int = 0
-    cpu_fallbacks: int = 0
-    wasted_accel_cycles: float = 0.0
-    recovery_backoff_cycles: float = 0.0
-    fallback_cpu_cycles: float = 0.0
-
-    def merge(self, other: "DeserStats") -> None:
-        """Accumulate another operation's stats into this one (batching)."""
-        for name in (
-                "cycles", "wire_bytes", "fields_parsed",
-                "unknown_fields_skipped", "submessages", "strings",
-                "repeated_elements", "arena_bytes", "adt_cache_hits",
-                "adt_cache_misses", "stack_spills", "tlb_penalty_cycles",
-                "transport_cycles",
-                "faults_injected", "fault_retries", "cpu_fallbacks",
-                "wasted_accel_cycles", "recovery_backoff_cycles",
-                "fallback_cpu_cycles"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.max_stack_depth = max(self.max_stack_depth,
-                                   other.max_stack_depth)
 
 
 @dataclass
@@ -306,7 +274,7 @@ class DeserializerUnit:
             # errors, host wall-clock only.  An operation with a fault
             # armed runs the interpretive FSM instead, so every named
             # fault site still fires where it always has.
-            kernel = self.codegen.kernel_for(adt_addr)
+            kernel = self.codegen.kernel_for(adt_addr, self.schedule)
         tiers.note("deser", "interp" if kernel is None else "codegen")
         stats = DeserStats(wire_bytes=src_len)
         if self.faults is not None:
@@ -327,7 +295,7 @@ class DeserializerUnit:
             if kernel is None:
                 self._run_fsm(loader, adt_addr, dest_addr, stats)
             else:
-                kernel(loader, dest_addr, stats)
+                kernel(self, loader, dest_addr, stats)
         except AccelFault:
             raise
         except DecodeError as error:

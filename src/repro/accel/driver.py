@@ -12,15 +12,22 @@ application linked against the paper's modified protobuf library follows:
    ``block_for_*_completion`` fence;
 4. deserialized objects are read through normal accessors; serialized
    outputs are fetched from the arena's pointer table.
+
+Deserialize and serialize run one loop, :meth:`ProtoAccelerator._offload`
+(transport window, submit once, attempt, undo a failed attempt, retry
+with backoff, CPU fallback or re-raise, retire), with or without a fault
+plan; ``_DeserSteps``/``_SerSteps`` supply the per-operation steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import methodcaller
 
 from repro.accel.adt import AdtBuilder
 from repro.accel.dataops import DataOpStats, MessageOpsUnit
 from repro.accel.deserializer import DeserializerUnit, DeserStats
+from repro.accel.perf import OpStats
 from repro.accel.serializer import SerializerUnit, SerStats
 from repro.faults import FaultInjector, FaultPlan, FaultSite, RecoveryPolicy
 from repro.memory.arena import (
@@ -157,42 +164,6 @@ class ProtoAccelerator:
 
     # -- transport plumbing -----------------------------------------------------
 
-    def _fault_kind(self, base: str) -> str:
-        """Operation kind announced to the fault injector.  The RoCC
-        kinds are the historical ``"deser"``/``"ser"`` (seeded site
-        draws stay bit-identical); PCIe operations can additionally
-        fault at the transport's own submission sites."""
-        return base if self.transport.name == "rocc" else f"pcie.{base}"
-
-    def _submit_deser(self, adt_addr: int, dest_addr: int, src_addr: int,
-                      src_len: int) -> None:
-        """Issue the ``deser_info``/``do_proto_deser`` pair (one
-        descriptor over PCIe).  Transport fault sites are polled by the
-        *driver*, before anything is issued: a lost doorbell or failed
-        payload DMA is detected at submission, so a faulted submit
-        leaves no in-flight work behind and is simply re-run."""
-        if self.faults is not None:
-            self.faults.poll(FaultSite.PCIE_DMA)
-            self.faults.poll(FaultSite.PCIE_DOORBELL)
-        self.transport.issue(RoccInstruction(RoccFunct.DESER_INFO, adt_addr,
-                                             dest_addr))
-        self.transport.issue(RoccInstruction(RoccFunct.DO_PROTO_DESER,
-                                             src_addr, src_len))
-
-    def _submit_ser(self, descriptor: MessageDescriptor, adt_addr: int,
-                    obj_addr: int) -> None:
-        """Issue the ``ser_info``/``do_proto_ser`` pair (one descriptor
-        over PCIe); same submission-time fault polls as the deser twin."""
-        if self.faults is not None:
-            self.faults.poll(FaultSite.PCIE_DMA)
-            self.faults.poll(FaultSite.PCIE_DOORBELL)
-        self.transport.issue(RoccInstruction(
-            RoccFunct.SER_INFO,
-            self.layouts.layout(descriptor).hasbits_offset,
-            descriptor.max_field_number << 32 | descriptor.min_field_number))
-        self.transport.issue(RoccInstruction(RoccFunct.DO_PROTO_SER,
-                                             adt_addr, obj_addr))
-
     def _drain_abandoned(self, error: BaseException) -> None:
         """Attribute transport cycles left behind by a failed operation.
 
@@ -224,7 +195,7 @@ class ProtoAccelerator:
         """Convenience: register every message type in a parsed schema."""
         self.register_types(schema.messages())
 
-    # -- deserialization ----------------------------------------------------------
+    # -- the offload loop ---------------------------------------------------------
 
     #: Cycles for the arena-exhausted interrupt round trip: fault, kernel
     #: handler, software assigning a fresh arena, and operation restart.
@@ -241,6 +212,140 @@ class ProtoAccelerator:
         self.deserializer.assign_arena(self._deser_arena)
         self.dataops.assign_arena(self._deser_arena)
 
+    def _fallback(self):
+        """The host core's software library (BOOM cost model), used for
+        per-message fallback after unrecoverable accelerator faults."""
+        if self._fallback_cpu is None:
+            from repro.cpu.boom import boom_cpu
+            self._fallback_cpu = boom_cpu()
+        return self._fallback_cpu
+
+    def _offload(self, steps, descriptor: MessageDescriptor, args: tuple):
+        """Run one offloaded operation: submit once, attempt, recover.
+
+        ``steps`` (``_DeserSteps``/``_SerSteps``) supplies the
+        operation's submit pair, attempt, undo, fallback and retire;
+        ``args`` is its argument tuple.  Every device runs this loop.
+        With no fault plan nothing is drawn or polled, so only a
+        genuine fault can interrupt an attempt and every recovery
+        counter stays zero.
+
+        * A transport fault (PCIe DMA, doorbell) fires before the pair
+          is issued, so a retry resubmits; a unit fault leaves the
+          descriptor in flight and only the attempt re-runs.
+        * Every failed attempt is undone (the destination object
+          re-zeroed, the serializer arena rolled back to its
+          pre-operation mark).  A genuine fault (``injected=False``)
+          then propagates: retrying a malformed input cannot help.
+        * An injected transient fault is retried with backoff up to
+          ``RecoveryPolicy.max_retries`` times.  A persistent fault, or
+          a transient one past the budget, falls back to the host
+          core's software library -- or, with ``cpu_fallback=False``,
+          re-raises with ``charged_cycles``/``charged_faults``/
+          ``charged_retries`` attached (docs/FAULTS.md).
+
+        The result's stats carry every wasted attempt's cycles (up to
+        its fault) and every backoff pause on top of the successful
+        attempt or the fallback, plus the window's transport cycles.
+        """
+        transport = self.transport
+        faults = self.faults
+        transport.begin_batch()
+        try:
+            injected = retries = 0
+            wasted = backoff = 0.0
+            submitted = False
+            result = unrecovered = None
+            if faults is not None:
+                # Over PCIe the operation can also fault at the
+                # transport's own submission sites ("pcie.deser"/...).
+                faults.begin_operation(steps.kind if transport.name == "rocc"
+                                       else "pcie." + steps.kind)
+            try:
+                while True:
+                    try:
+                        if not submitted:
+                            if faults is not None:
+                                faults.poll(FaultSite.PCIE_DMA)
+                                faults.poll(FaultSite.PCIE_DOORBELL)
+                            steps.submit(self, descriptor, args)
+                            submitted = True
+                        result = steps.attempt(self, descriptor, args)
+                        break
+                    except AccelFault as fault:
+                        steps.undo(self, descriptor, args)
+                        if not fault.injected:
+                            raise
+                        injected += 1
+                        wasted += fault.cycle
+                        transport.record_fault(fault.site)
+                        self.fault_stats.faults_injected += 1
+                        self.fault_stats.wasted_accel_cycles += fault.cycle
+                        if fault.site == FaultSite.BUS_STALL.value:
+                            self.bus.record_stall(fault.cycle)
+                        if (fault.transient
+                                and retries < self.recovery.max_retries):
+                            backoff += self.recovery.backoff(retries)
+                            retries += 1
+                            continue
+                        if self.recovery.cpu_fallback:
+                            result = steps.fallback(self, descriptor, args)
+                        else:
+                            unrecovered = fault
+                        break
+            finally:
+                if faults is not None:
+                    faults.end_operation()
+            if injected:
+                self.fault_stats.transient_retries += retries
+                self.fault_stats.backoff_cycles += backoff
+                if unrecovered is not None:
+                    unrecovered.charged_cycles = wasted + backoff
+                    unrecovered.charged_faults = injected
+                    unrecovered.charged_retries = retries
+                    raise unrecovered
+                stats = result.stats
+                stats.faults_injected += injected
+                stats.fault_retries += retries
+                stats.wasted_accel_cycles += wasted
+                stats.recovery_backoff_cycles += backoff
+                stats.cycles += wasted + backoff
+            if submitted:
+                steps.retire(transport)
+        except BaseException as error:
+            transport.end_batch()
+            self._drain_abandoned(error)
+            raise
+        transport.end_batch()
+        result.stats.transport_cycles += transport.take_cycles()
+        return result
+
+    def _batch(self, steps, run, descriptor: MessageDescriptor,
+               items: list) -> tuple[list, OpStats]:
+        """Batched offload: ``run`` (the public single-operation method)
+        per item inside one transport window, then one
+        ``block_for_*_completion`` fence (Section 4.4.1)."""
+        transport = self.transport
+        transport.begin_batch()
+        try:
+            total = steps.stats()
+            results = []
+            for item in items:
+                result = run(descriptor, item)
+                results.append(result)
+                total.merge(result.stats)
+            steps.fence(transport)
+            total.cycles += self.config.fence_cycles
+        except BaseException as error:
+            transport.end_batch()
+            self._drain_abandoned(error)
+            raise
+        transport.end_batch()
+        total.transport_cycles += transport.take_cycles()
+        return results, total
+
+    # -- deserialization ----------------------------------------------------------
+
     def deserialize(self, descriptor: MessageDescriptor,
                     wire_bytes: bytes,
                     hide_startup: bool = False,
@@ -250,7 +355,9 @@ class ProtoAccelerator:
 
         The wire buffer is placed in simulated memory and the top-level
         destination object is allocated on the software heap (by "user
-        code", per Section 4.4), both zero-initialised.
+        code", per Section 4.4), both zero-initialised.  With
+        ``auto_renew_arena`` an exhausted arena is renewed and the
+        operation restarted, as the interrupt handler would.
         """
         adt_addr = self.adts.adt_address(descriptor)
         layout = self.layouts.layout(descriptor)
@@ -260,208 +367,20 @@ class ProtoAccelerator:
         dest_addr = self.memory.allocate(layout.object_size, 8)
         self.memory.fill(dest_addr, layout.object_size, 0)
         self.memory.write_u64(dest_addr, layout.vptr)
-        transport = self.transport
-        transport.begin_batch()
-        try:
-            if self.faults is not None:
-                result = self._deserialize_recovering(
-                    descriptor, wire_bytes, adt_addr, dest_addr, src_addr,
-                    hide_startup, auto_renew_arena)
-            else:
-                self._submit_deser(adt_addr, dest_addr, src_addr,
-                                   len(wire_bytes))
-                stats = self._deser_attempt(
-                    descriptor, adt_addr, dest_addr, src_addr,
-                    len(wire_bytes), hide_startup, auto_renew_arena)
-                transport.retire_deser()
-                result = DeserResult(dest_addr=dest_addr, stats=stats)
-        except BaseException as error:
-            transport.end_batch()
-            self._drain_abandoned(error)
-            raise
-        transport.end_batch()
-        result.stats.transport_cycles += transport.take_cycles()
-        return result
-
-    def _deser_attempt(self, descriptor: MessageDescriptor, adt_addr: int,
-                       dest_addr: int, src_addr: int, src_len: int,
-                       hide_startup: bool,
-                       auto_renew_arena: bool) -> DeserStats:
-        """One hardware attempt, including the arena-renewal restart."""
-        try:
-            return self.deserializer.deserialize(
-                adt_addr, dest_addr, src_addr, src_len,
-                hide_startup=hide_startup)
-        except ArenaExhausted:
-            if not auto_renew_arena:
-                raise
-            # The accelerator faulted mid-operation; software installs a
-            # fresh arena and restarts the deserialization from scratch
-            # (partial state in the old arena is simply abandoned).
-            self._renew_deser_arena()
-            self._reset_dest(descriptor, dest_addr)
-            stats = self.deserializer.deserialize(
-                adt_addr, dest_addr, src_addr, src_len)
-            stats.cycles += self.ARENA_RENEWAL_CYCLES
-            return stats
-
-    def _reset_dest(self, descriptor: MessageDescriptor,
-                    dest_addr: int) -> None:
-        """Re-zero the caller-allocated destination object for a restart."""
-        layout = self.layouts.layout(descriptor)
-        self.memory.fill(dest_addr, layout.object_size, 0)
-        self.memory.write_u64(dest_addr, layout.vptr)
-
-    def _fallback(self):
-        """The host core's software library (BOOM cost model), used for
-        per-message fallback after unrecoverable accelerator faults."""
-        if self._fallback_cpu is None:
-            from repro.cpu.boom import boom_cpu
-            self._fallback_cpu = boom_cpu()
-        return self._fallback_cpu
-
-    def _note_fault(self, fault: AccelFault) -> None:
-        """Bookkeeping common to every caught injected fault."""
-        self.transport.record_fault(fault.site)
-        self.fault_stats.faults_injected += 1
-        self.fault_stats.wasted_accel_cycles += fault.cycle
-        if fault.site == FaultSite.BUS_STALL.value:
-            self.bus.record_stall(fault.cycle)
-
-    def _deserialize_recovering(self, descriptor: MessageDescriptor,
-                                wire_bytes: bytes, adt_addr: int,
-                                dest_addr: int, src_addr: int,
-                                hide_startup: bool,
-                                auto_renew_arena: bool) -> DeserResult:
-        """Fault-injected path: bounded retry with backoff for transient
-        faults, then per-message CPU fallback (docs/FAULTS.md).
-
-        Cycle charging: the final stats carry every wasted attempt's
-        cycles (up to its fault), every backoff pause, and -- on fallback
-        -- the BOOM software decode, on top of the successful attempt (or
-        instead of one, for fallback).
-        """
-        assert self.faults is not None
-        self.faults.begin_operation(self._fault_kind("deser"))
-        injected = 0
-        retries = 0
-        wasted = 0.0
-        backoff = 0.0
-        submitted = False
-        try:
-            while True:
-                try:
-                    if not submitted:
-                        # (Re)submission: a transport-site fault fires
-                        # here, before the pair is issued, so the retry
-                        # resubmits; a unit fault leaves the descriptor
-                        # in flight and only the unit attempt re-runs.
-                        self._submit_deser(adt_addr, dest_addr, src_addr,
-                                           len(wire_bytes))
-                        submitted = True
-                    stats = self._deser_attempt(
-                        descriptor, adt_addr, dest_addr, src_addr,
-                        len(wire_bytes), hide_startup, auto_renew_arena)
-                    break
-                except AccelFault as fault:
-                    if not fault.injected:
-                        # A genuine decode error: the input really is
-                        # malformed; retrying cannot help and software
-                        # would reject it identically.  Propagate.
-                        raise
-                    injected += 1
-                    wasted += fault.cycle
-                    self._note_fault(fault)
-                    if (fault.transient
-                            and retries < self.recovery.max_retries):
-                        backoff += self.recovery.backoff(retries)
-                        retries += 1
-                        self._reset_dest(descriptor, dest_addr)
-                        continue
-                    if not self.recovery.cpu_fallback:
-                        self._raise_unrecovered(fault, injected, retries,
-                                                wasted, backoff)
-                    # Persistent fault (or retry budget exhausted):
-                    # software decodes this message on the host core.
-                    dest_addr, stats = self._fallback_deserialize(
-                        descriptor, wire_bytes)
-                    break
-        finally:
-            self.faults.end_operation()
-        stats.faults_injected += injected
-        stats.fault_retries += retries
-        stats.wasted_accel_cycles += wasted
-        stats.recovery_backoff_cycles += backoff
-        stats.cycles += wasted + backoff
-        self.fault_stats.transient_retries += retries
-        self.fault_stats.backoff_cycles += backoff
-        if submitted:
-            self.transport.retire_deser()
-        return DeserResult(dest_addr=dest_addr, stats=stats)
-
-    def _raise_unrecovered(self, fault: AccelFault, injected: int,
-                           retries: int, wasted: float,
-                           backoff: float) -> None:
-        """Re-raise an unrecovered fault with the recovery attempt's cost
-        attached (``RecoveryPolicy.cpu_fallback=False`` mode).
-
-        ``charged_cycles`` is everything the device burned on this
-        operation -- every wasted attempt and every backoff pause -- so
-        the caller (the serving layer) can charge the failed offload
-        honestly before deciding between failover, host fallback, and a
-        structured rejection.
-        """
-        self.fault_stats.transient_retries += retries
-        self.fault_stats.backoff_cycles += backoff
-        fault.charged_cycles = wasted + backoff
-        fault.charged_faults = injected
-        fault.charged_retries = retries
-        raise fault
-
-    def _fallback_deserialize(self, descriptor: MessageDescriptor,
-                              wire_bytes: bytes
-                              ) -> tuple[int, DeserStats]:
-        """Decode one message with the software library and materialise
-        the result as an object image -- bit-identical to what a healthy
-        accelerator would have produced."""
-        message, op = self._fallback().deserialize(descriptor,
-                                                   bytes(wire_bytes))
-        addr = write_message_image(self.memory, self.memory.allocate,
-                                   message, self.layouts)
-        stats = DeserStats(wire_bytes=len(wire_bytes))
-        stats.cycles = op.cycles
-        stats.cpu_fallbacks = 1
-        stats.fallback_cpu_cycles = op.cycles
-        self.fault_stats.cpu_fallbacks += 1
-        self.fault_stats.fallback_cpu_cycles += op.cycles
-        return addr, stats
+        return self._offload(_DeserSteps, descriptor, (
+            wire_bytes, adt_addr, dest_addr, src_addr, hide_startup,
+            auto_renew_arena))
 
     def deserialize_batch(self, descriptor: MessageDescriptor,
                           buffers: list[bytes]) -> tuple[list[int], DeserStats]:
         """Batched offload: N ``deser_info``/``do_proto_deser`` pairs then
-        one ``block_for_deser_completion`` (Section 4.4.1)."""
-        transport = self.transport
-        transport.begin_batch()
-        try:
-            total = DeserStats()
-            addresses = []
-            for data in buffers:
-                # Deserialization is serial through the field handler,
-                # so the stream-open latency is NOT hidden between
-                # batched operations (contrast the ablation in
-                # benchmarks/bench_ablation.py).
-                result = self.deserialize(descriptor, data)
-                addresses.append(result.dest_addr)
-                total.merge(result.stats)
-            transport.block_for_deser_completion()
-            total.cycles += self.config.fence_cycles
-        except BaseException as error:
-            transport.end_batch()
-            self._drain_abandoned(error)
-            raise
-        transport.end_batch()
-        total.transport_cycles += transport.take_cycles()
-        return addresses, total
+        one ``block_for_deser_completion`` (Section 4.4.1).
+        Deserialization is serial through the field handler, so the
+        stream-open latency is NOT hidden between batched operations
+        (contrast the ablation in benchmarks/bench_ablation.py)."""
+        results, total = self._batch(_DeserSteps, self.deserialize,
+                                     descriptor, buffers)
+        return [result.dest_addr for result in results], total
 
     def read_message(self, descriptor: MessageDescriptor,
                      addr: int) -> Message:
@@ -486,138 +405,37 @@ class ProtoAccelerator:
     def serialize(self, descriptor: MessageDescriptor,
                   obj_addr: int) -> SerResult:
         """Offload one serialization of the object image at ``obj_addr``."""
-        adt_addr = self.adts.adt_address(descriptor)
-        transport = self.transport
-        transport.begin_batch()
-        try:
-            if self.faults is not None:
-                result = self._serialize_recovering(descriptor, adt_addr,
-                                                    obj_addr)
-            else:
-                self._submit_ser(descriptor, adt_addr, obj_addr)
-                stats = self.serializer.serialize(adt_addr, obj_addr)
-                transport.retire_ser()
-                data = self._ser_arena.output(self._ser_arena.output_count - 1)
-                transport.note_payload(len(data))
-                result = SerResult(data=data, stats=stats)
-        except BaseException as error:
-            transport.end_batch()
-            self._drain_abandoned(error)
-            raise
-        transport.end_batch()
-        result.stats.transport_cycles += transport.take_cycles()
-        return result
-
-    def _serialize_recovering(self, descriptor: MessageDescriptor,
-                              adt_addr: int, obj_addr: int) -> SerResult:
-        """Fault-injected serialize: retry transients (rolling back the
-        faulted attempt's partial arena output), fall back to the
-        software serializer otherwise."""
-        assert self.faults is not None
-        self.faults.begin_operation(self._fault_kind("ser"))
-        injected = 0
-        retries = 0
-        wasted = 0.0
-        backoff = 0.0
-        data = None
-        submitted = False
-        try:
-            while True:
-                mark = self._ser_arena.mark()
-                try:
-                    if not submitted:
-                        self._submit_ser(descriptor, adt_addr, obj_addr)
-                        submitted = True
-                    stats = self.serializer.serialize(adt_addr, obj_addr)
-                    data = self._ser_arena.output(
-                        self._ser_arena.output_count - 1)
-                    self.transport.note_payload(len(data))
-                    break
-                except AccelFault as fault:
-                    self._ser_arena.rollback(mark)
-                    if not fault.injected:
-                        raise
-                    injected += 1
-                    wasted += fault.cycle
-                    self._note_fault(fault)
-                    if (fault.transient
-                            and retries < self.recovery.max_retries):
-                        backoff += self.recovery.backoff(retries)
-                        retries += 1
-                        continue
-                    if not self.recovery.cpu_fallback:
-                        self._raise_unrecovered(fault, injected, retries,
-                                                wasted, backoff)
-                    data, stats = self._fallback_serialize(descriptor,
-                                                           obj_addr)
-                    break
-        finally:
-            self.faults.end_operation()
-        stats.faults_injected += injected
-        stats.fault_retries += retries
-        stats.wasted_accel_cycles += wasted
-        stats.recovery_backoff_cycles += backoff
-        stats.cycles += wasted + backoff
-        self.fault_stats.transient_retries += retries
-        self.fault_stats.backoff_cycles += backoff
-        if submitted:
-            self.transport.retire_ser()
-        return SerResult(data=data, stats=stats)
-
-    def _fallback_serialize(self, descriptor: MessageDescriptor,
-                            obj_addr: int) -> tuple[bytes, SerStats]:
-        """Serialize one object image with the software library; the
-        output is byte-identical to the accelerator's (the suite pins
-        both against the same golden wire bytes)."""
-        message = read_message_image(self.memory, descriptor, obj_addr,
-                                     self.layouts)
-        data, op = self._fallback().serialize(message)
-        stats = SerStats()
-        stats.cycles = op.cycles
-        stats.output_bytes = len(data)
-        stats.cpu_fallbacks = 1
-        stats.fallback_cpu_cycles = op.cycles
-        self.fault_stats.cpu_fallbacks += 1
-        self.fault_stats.fallback_cpu_cycles += op.cycles
-        return data, stats
+        return self._offload(_SerSteps, descriptor, (
+            self.adts.adt_address(descriptor), obj_addr,
+            self._ser_arena.mark()))
 
     def serialize_batch(self, descriptor: MessageDescriptor,
                         addresses: list[int]) -> tuple[list[bytes], SerStats]:
         """Batched serialization with a single completion fence."""
-        transport = self.transport
-        transport.begin_batch()
-        try:
-            total = SerStats()
-            outputs = []
-            for addr in addresses:
-                result = self.serialize(descriptor, addr)
-                outputs.append(result.data)
-                total.merge(result.stats)
-            transport.block_for_ser_completion()
-            total.cycles += self.config.fence_cycles
-        except BaseException as error:
-            transport.end_batch()
-            self._drain_abandoned(error)
-            raise
-        transport.end_batch()
-        total.transport_cycles += transport.take_cycles()
-        return outputs, total
+        results, total = self._batch(_SerSteps, self.serialize, descriptor,
+                                     addresses)
+        return [result.data for result in results], total
 
     # -- Section 7 extension ops ---------------------------------------------------
+
+    def _data_op(self, funct: RoccFunct, rs1: int, rs2: int, run, *args):
+        """Issue one data-op instruction and run the unit inside its own
+        transport window; the window's cycles go on the overhead ledger."""
+        transport = self.transport
+        transport.begin_batch()
+        transport.issue(RoccInstruction(funct, rs1, rs2))
+        try:
+            return run(*args)
+        finally:
+            transport.end_batch()
+            self.transport_overhead_cycles += transport.take_cycles()
 
     def clear_message(self, descriptor: MessageDescriptor,
                       obj_addr: int) -> DataOpStats:
         """Offload C++ ``Clear()`` on the object image at ``obj_addr``."""
         adt_addr = self.adts.adt_address(descriptor)
-        transport = self.transport
-        transport.begin_batch()
-        transport.issue(RoccInstruction(RoccFunct.DO_PROTO_CLEAR,
-                                        adt_addr, obj_addr))
-        try:
-            return self.dataops.clear(adt_addr, obj_addr)
-        finally:
-            transport.end_batch()
-            self.transport_overhead_cycles += transport.take_cycles()
+        return self._data_op(RoccFunct.DO_PROTO_CLEAR, adt_addr, obj_addr,
+                             self.dataops.clear, adt_addr, obj_addr)
 
     def copy_message(self, descriptor: MessageDescriptor,
                      src_addr: int) -> tuple[int, DataOpStats]:
@@ -628,29 +446,17 @@ class ProtoAccelerator:
         dest_addr = self.memory.allocate(layout.object_size, 8)
         self.memory.fill(dest_addr, layout.object_size, 0)
         self.memory.write_u64(dest_addr, layout.vptr)
-        transport = self.transport
-        transport.begin_batch()
-        transport.issue(RoccInstruction(RoccFunct.DO_PROTO_COPY,
-                                        src_addr, dest_addr))
-        try:
-            return dest_addr, self.dataops.copy(adt_addr, src_addr, dest_addr)
-        finally:
-            transport.end_batch()
-            self.transport_overhead_cycles += transport.take_cycles()
+        return dest_addr, self._data_op(
+            RoccFunct.DO_PROTO_COPY, src_addr, dest_addr,
+            self.dataops.copy, adt_addr, src_addr, dest_addr)
 
     def merge_messages(self, descriptor: MessageDescriptor, src_addr: int,
                        dest_addr: int) -> DataOpStats:
         """Offload ``dest.MergeFrom(src)`` on two object images."""
         adt_addr = self.adts.adt_address(descriptor)
-        transport = self.transport
-        transport.begin_batch()
-        transport.issue(RoccInstruction(RoccFunct.DO_PROTO_MERGE,
-                                        src_addr, dest_addr))
-        try:
-            return self.dataops.merge(adt_addr, src_addr, dest_addr)
-        finally:
-            transport.end_batch()
-            self.transport_overhead_cycles += transport.take_cycles()
+        return self._data_op(RoccFunct.DO_PROTO_MERGE, src_addr, dest_addr,
+                             self.dataops.merge, adt_addr, src_addr,
+                             dest_addr)
 
     # -- maintenance ------------------------------------------------------------------
 
@@ -691,3 +497,131 @@ class ProtoAccelerator:
     def throughput_gbps(self, payload_bytes: int, cycles: float) -> float:
         """Convert an operation's byte count and cycles to Gbit/s."""
         return self.config.gbits_per_second(payload_bytes, cycles)
+
+
+class _DeserSteps:
+    """Deserialize's steps for :meth:`ProtoAccelerator._offload`.
+    ``args`` is ``(wire_bytes, adt_addr, dest_addr, src_addr,
+    hide_startup, auto_renew_arena)``."""
+
+    kind = "deser"
+    stats = DeserStats
+    retire = methodcaller("retire_deser")
+    fence = methodcaller("block_for_deser_completion")
+
+    @staticmethod
+    def submit(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+               args: tuple) -> None:
+        """Issue the ``deser_info``/``do_proto_deser`` pair (one
+        descriptor over PCIe)."""
+        wire_bytes, adt_addr, dest_addr, src_addr, _, _ = args
+        accel.transport.issue(RoccInstruction(RoccFunct.DESER_INFO, adt_addr,
+                                              dest_addr))
+        accel.transport.issue(RoccInstruction(RoccFunct.DO_PROTO_DESER,
+                                              src_addr, len(wire_bytes)))
+
+    @staticmethod
+    def attempt(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+                args: tuple) -> DeserResult:
+        """One hardware attempt, including the arena-renewal restart."""
+        (wire_bytes, adt_addr, dest_addr, src_addr, hide_startup,
+         auto_renew_arena) = args
+        try:
+            stats = accel.deserializer.deserialize(
+                adt_addr, dest_addr, src_addr, len(wire_bytes),
+                hide_startup=hide_startup)
+        except ArenaExhausted:
+            if not auto_renew_arena:
+                raise
+            # The accelerator faulted mid-operation; software installs a
+            # fresh arena and restarts the deserialization from scratch
+            # (partial state in the old arena is simply abandoned).
+            accel._renew_deser_arena()
+            _DeserSteps.undo(accel, descriptor, args)
+            stats = accel.deserializer.deserialize(
+                adt_addr, dest_addr, src_addr, len(wire_bytes))
+            stats.cycles += accel.ARENA_RENEWAL_CYCLES
+        return DeserResult(dest_addr=dest_addr, stats=stats)
+
+    @staticmethod
+    def undo(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+             args: tuple) -> None:
+        """Re-zero the caller-allocated destination object."""
+        layout = accel.layouts.layout(descriptor)
+        accel.memory.fill(args[2], layout.object_size, 0)
+        accel.memory.write_u64(args[2], layout.vptr)
+
+    @staticmethod
+    def fallback(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+                 args: tuple) -> DeserResult:
+        """Decode one message with the software library and materialise
+        the result as an object image -- bit-identical to what a healthy
+        accelerator would have produced."""
+        wire_bytes = args[0]
+        message, op = accel._fallback().deserialize(descriptor,
+                                                    bytes(wire_bytes))
+        addr = write_message_image(accel.memory, accel.memory.allocate,
+                                   message, accel.layouts)
+        stats = DeserStats(wire_bytes=len(wire_bytes))
+        stats.cycles = op.cycles
+        stats.cpu_fallbacks = 1
+        stats.fallback_cpu_cycles = op.cycles
+        accel.fault_stats.cpu_fallbacks += 1
+        accel.fault_stats.fallback_cpu_cycles += op.cycles
+        return DeserResult(dest_addr=addr, stats=stats)
+
+
+class _SerSteps:
+    """Serialize's steps for :meth:`ProtoAccelerator._offload`.
+    ``args`` is ``(adt_addr, obj_addr, arena mark)``; the mark is taken
+    before the operation, and a rolled-back attempt restores it."""
+
+    kind = "ser"
+    stats = SerStats
+    retire = methodcaller("retire_ser")
+    fence = methodcaller("block_for_ser_completion")
+
+    @staticmethod
+    def submit(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+               args: tuple) -> None:
+        """Issue the ``ser_info``/``do_proto_ser`` pair (one descriptor
+        over PCIe)."""
+        accel.transport.issue(RoccInstruction(
+            RoccFunct.SER_INFO,
+            accel.layouts.layout(descriptor).hasbits_offset,
+            descriptor.max_field_number << 32 | descriptor.min_field_number))
+        accel.transport.issue(RoccInstruction(RoccFunct.DO_PROTO_SER,
+                                              args[0], args[1]))
+
+    @staticmethod
+    def attempt(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+                args: tuple) -> SerResult:
+        stats = accel.serializer.serialize(args[0], args[1])
+        arena = accel._ser_arena
+        data = arena.output(arena.output_count - 1)
+        accel.transport.note_payload(len(data))
+        return SerResult(data=data, stats=stats)
+
+    @staticmethod
+    def undo(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+             args: tuple) -> None:
+        """Abandon the attempt's partial arena output."""
+        accel._ser_arena.rollback(args[2])
+
+    @staticmethod
+    def fallback(accel: ProtoAccelerator, descriptor: MessageDescriptor,
+                 args: tuple) -> SerResult:
+        """Serialize one object image with the software library; the
+        output is byte-identical to the accelerator's (the suite pins
+        both against the same golden wire bytes)."""
+        message = read_message_image(accel.memory, descriptor, args[1],
+                                     accel.layouts)
+        data, op = accel._fallback().serialize(message)
+        stats = SerStats()
+        stats.cycles = op.cycles
+        stats.output_bytes = len(data)
+        stats.cpu_fallbacks = 1
+        stats.fallback_cpu_cycles = op.cycles
+        accel.fault_stats.cpu_fallbacks += 1
+        accel.fault_stats.fallback_cpu_cycles += op.cycles
+        return SerResult(data=data, stats=stats)

@@ -15,6 +15,40 @@ from dataclasses import dataclass
 from repro import memo
 
 
+@dataclass
+class OpStats:
+    """Counters every offloaded operation reports; ``DeserStats`` and
+    ``SerStats`` add their unit's own.  Every counter is a sum except
+    ``max_stack_depth``."""
+
+    cycles: float = 0.0
+    submessages: int = 0
+    strings: int = 0
+    repeated_elements: int = 0
+    max_stack_depth: int = 0
+    stack_spills: int = 0
+    tlb_penalty_cycles: float = 0.0
+    #: Attach-point cost (RoCC dispatch or PCIe queue-pair work) charged
+    #: by the transport, NOT included in ``cycles`` -- the unit's own
+    #: cycle count is transport-independent (docs/MODEL.md).
+    transport_cycles: float = 0.0
+    # Fault-recovery accounting (all zero when no fault was injected).
+    faults_injected: int = 0
+    fault_retries: int = 0
+    cpu_fallbacks: int = 0
+    wasted_accel_cycles: float = 0.0
+    recovery_backoff_cycles: float = 0.0
+    fallback_cpu_cycles: float = 0.0
+
+    def merge(self, other: "OpStats") -> None:
+        """Accumulate another operation's stats into this one (batching)."""
+        for name in self.__dataclass_fields__:
+            if name != "max_stack_depth":
+                setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.max_stack_depth = max(self.max_stack_depth,
+                                   other.max_stack_depth)
+
+
 @dataclass(frozen=True)
 class PerfReport:
     """A point-in-time snapshot of the device's counters."""

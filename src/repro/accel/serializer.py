@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from repro.accel import tiers
 from repro.accel.adt import AdtEntry, AdtView
 from repro.accel.memwriter import Memwriter
+from repro.accel.perf import OpStats
 from repro.accel.varint_unit import CombinationalVarintUnit
 from repro.faults.plan import FaultSite
 from repro.memory.arena import SerializerArena
@@ -121,45 +122,14 @@ class SerSchedule:
 
 
 @dataclass
-class SerStats:
+class SerStats(OpStats):
     """Outcome of one serialization operation."""
 
-    cycles: float = 0.0
     output_bytes: int = 0
     fields_serialized: int = 0
-    submessages: int = 0
-    strings: int = 0
-    repeated_elements: int = 0
     frontend_cycles: float = 0.0
     fsu_cycles: float = 0.0
     memwriter_cycles: float = 0.0
-    max_stack_depth: int = 0
-    stack_spills: int = 0
-    tlb_penalty_cycles: float = 0.0
-    #: Attach-point cost (RoCC dispatch or PCIe queue-pair work) charged
-    #: by the transport, NOT included in ``cycles`` -- the unit's own
-    #: cycle count is transport-independent (docs/MODEL.md).
-    transport_cycles: float = 0.0
-    # Fault-recovery accounting (all zero on the fault-free path).
-    faults_injected: int = 0
-    fault_retries: int = 0
-    cpu_fallbacks: int = 0
-    wasted_accel_cycles: float = 0.0
-    recovery_backoff_cycles: float = 0.0
-    fallback_cpu_cycles: float = 0.0
-
-    def merge(self, other: "SerStats") -> None:
-        for name in ("cycles", "output_bytes", "fields_serialized",
-                     "submessages", "strings", "repeated_elements",
-                     "frontend_cycles", "fsu_cycles", "memwriter_cycles",
-                     "stack_spills", "tlb_penalty_cycles",
-                     "transport_cycles",
-                     "faults_injected", "fault_retries", "cpu_fallbacks",
-                     "wasted_accel_cycles", "recovery_backoff_cycles",
-                     "fallback_cpu_cycles"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.max_stack_depth = max(self.max_stack_depth,
-                                   other.max_stack_depth)
 
 
 class SerializerUnit:
@@ -218,7 +188,7 @@ class SerializerUnit:
                                          or not self.faults.armed):
             # Specialized straight-line kernel; an operation with a
             # fault armed runs the FSM (see DeserializerUnit).
-            kernel = self.codegen.kernel_for(adt_addr)
+            kernel = self.codegen.kernel_for(adt_addr, self.schedule)
         tiers.note("ser", "interp" if kernel is None else "codegen")
         stats = SerStats()
         if self.faults is not None:
@@ -232,7 +202,7 @@ class SerializerUnit:
             self._serialize_message(AdtView(self.memory, adt_addr), obj_addr,
                                     memwriter, stats, depth=1)
         else:
-            kernel(obj_addr, memwriter, stats)
+            kernel(self, obj_addr, memwriter, stats)
         _, length = memwriter.finish_top_level()
         stats.output_bytes = length
         stats.memwriter_cycles = memwriter.cycles

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import weakref
 from dataclasses import dataclass, field
 
 from repro.proto.descriptor import ServiceDescriptor
@@ -254,12 +255,19 @@ class ReshardController:
     """
 
     def __init__(self, fabric: "ServingFabric"):
-        self.fabric = fabric
+        # The fabric owns its controller, so a strong back-reference
+        # would be a cycle keeping a dropped fabric's shards (and their
+        # devices' simulated DRAM) alive until a garbage collection.
+        self._fabric = weakref.ref(fabric)
         self.policy = fabric.policy.reshard
         self._drains: dict[int, _DrainState] = {}
         self._quarantined_since: dict[int, float] = {}
 
     # -- queries -----------------------------------------------------------------
+
+    @property
+    def fabric(self) -> "ServingFabric":
+        return self._fabric()
 
     @property
     def draining_shards(self) -> tuple[int, ...]:
@@ -452,20 +460,9 @@ class ServingFabric:
 
     @property
     def stats(self) -> ServeStats:
-        """Fleet aggregate, folded from the per-tenant ledgers."""
-        total = ServeStats()
-        for account in self.registry:
-            stats = account.stats
-            total.offered += stats.offered
-            total.shed += stats.shed
-            total.expired += stats.expired
-            total.faulted += stats.faulted
-            total.succeeded += stats.succeeded
-            total.migrated += stats.migrated
-            total.accel_cycles += stats.accel_cycles
-            total.cpu_cycles += stats.cpu_cycles
-            total.latencies.extend(stats.latencies)
-        return total
+        """Fleet aggregate, folded from the per-tenant ledgers in
+        registration order."""
+        return ServeStats.fold(account.stats for account in self.registry)
 
     @property
     def watchdog_aborts(self) -> int:

@@ -210,7 +210,8 @@ class ParallelReplayResult:
     #: Merged by call index: identical order to the serial replay.
     outcomes: list[CallOutcome]
     shard_results: list[ShardResult]
-    #: Tenant -> owning shard, from the pre-partition ring walk.
+    #: Tenant -> owning shard, from the pre-partition ring walk, in
+    #: :func:`~repro.serve.replay.tenant_plan` (registration) order.
     routing: dict[str, int]
     jobs: int
     #: Fabric width; shards the ring sent no calls to spawn no worker
@@ -222,32 +223,15 @@ class ParallelReplayResult:
 
     @property
     def stats(self) -> ServeStats:
-        """Fleet aggregate, folded in tenant-plan order (the serial
-        registry's registration order) so float sums associate the
-        same way as the serial fold."""
+        """Fleet aggregate, folded in tenant-plan order (``routing``'s
+        order): the serial registry's registration order, so float sums
+        associate exactly like :attr:`ServingFabric.stats`.  A tenant no
+        call reached has an all-zero ledger, which the fold may skip."""
         by_tenant: dict[str, ServeStats] = {}
         for result in self.shard_results:
             by_tenant.update(result.tenant_stats)
-        total = ServeStats()
-        # Fold in registration (tenant_plan) order -- tenant-0,
-        # tenant-1, ... -- so float sums associate exactly like the
-        # serial registry fold.
-        def plan_rank(tenant: str):
-            _, _, suffix = tenant.rpartition("-")
-            return (int(suffix), tenant) if suffix.isdigit() \
-                else (len(by_tenant), tenant)
-        for tenant in sorted(by_tenant, key=plan_rank):
-            stats = by_tenant[tenant]
-            total.offered += stats.offered
-            total.shed += stats.shed
-            total.expired += stats.expired
-            total.faulted += stats.faulted
-            total.succeeded += stats.succeeded
-            total.migrated += stats.migrated
-            total.accel_cycles += stats.accel_cycles
-            total.cpu_cycles += stats.cpu_cycles
-            total.latencies.extend(stats.latencies)
-        return total
+        return ServeStats.fold(by_tenant[tenant] for tenant in self.routing
+                               if tenant in by_tenant)
 
     @property
     def tenant_sheds(self) -> dict[str, int]:
@@ -260,16 +244,17 @@ class ParallelReplayResult:
     def watchdog_aborts(self) -> int:
         return sum(r.watchdog_aborts for r in self.shard_results)
 
-    def _by_index(self) -> dict[int, ShardResult]:
-        return {r.index: r for r in self.shard_results}
+    def _per_shard(self, name: str, idle) -> list:
+        """Each shard's ``name`` result field in shard order; ``idle``
+        for a shard the ring sent no calls."""
+        by_index = {r.index: r for r in self.shard_results}
+        width = max([self.shards, *(i + 1 for i in by_index)])
+        return [getattr(by_index[i], name) if i in by_index else idle
+                for i in range(width)]
 
     @property
     def healths(self) -> list[str]:
-        by_index = self._by_index()
-        width = max(self.shards, *(i + 1 for i in by_index), 0) \
-            if by_index else self.shards
-        return [by_index[i].health if i in by_index else "healthy"
-                for i in range(width)]
+        return self._per_shard("health", "healthy")
 
     @property
     def route_deviations(self) -> int:
@@ -278,11 +263,7 @@ class ParallelReplayResult:
     @property
     def busy_seconds(self) -> list[float]:
         """Per-shard worker CPU seconds, in shard order."""
-        by_index = self._by_index()
-        width = max(self.shards, *(i + 1 for i in by_index), 0) \
-            if by_index else self.shards
-        return [by_index[i].busy_seconds if i in by_index else 0.0
-                for i in range(width)]
+        return self._per_shard("busy_seconds", 0.0)
 
     def tenant_stats(self, tenant: str) -> ServeStats:
         for result in self.shard_results:

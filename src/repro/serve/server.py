@@ -210,6 +210,26 @@ class ServeStats:
     #: Arrival-to-termination latency of every admitted call.
     latencies: list = field(default_factory=list)
 
+    @classmethod
+    def fold(cls, ledgers) -> "ServeStats":
+        """The fleet aggregate of per-tenant ledgers, summed in the order
+        given (every caller passes registration order, so float sums
+        associate identically across execution modes).  Covers the
+        counters a tenant ledger keeps: the call outcomes, cycles and
+        latencies."""
+        total = cls()
+        for stats in ledgers:
+            total.offered += stats.offered
+            total.shed += stats.shed
+            total.expired += stats.expired
+            total.faulted += stats.faulted
+            total.succeeded += stats.succeeded
+            total.migrated += stats.migrated
+            total.accel_cycles += stats.accel_cycles
+            total.cpu_cycles += stats.cpu_cycles
+            total.latencies.extend(stats.latencies)
+        return total
+
     @property
     def failed(self) -> int:
         return self.expired + self.faulted

@@ -1,9 +1,14 @@
 """Tests for the device driver / modified-library API."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.accel.driver import ProtoAccelerator
+from repro.faults import FaultPlan
 from repro.proto import parse_schema
+from repro.soc.config import SoCConfig
 from repro.soc.rocc import RoccFunct
 
 
@@ -155,3 +160,29 @@ class TestMaintenance:
     def test_throughput_helper(self, schema):
         accel = ProtoAccelerator()
         assert accel.throughput_gbps(250, 1000) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan(seed=1, rate=0.5)],
+                             ids=["no-plan", "plan"])
+    @pytest.mark.parametrize("fast_path", ["codegen", "interp"])
+    @pytest.mark.parametrize("transport", ["rocc", "pcie"])
+    def test_dead_device_is_freed_by_reference_counting(self, schema,
+                                                        transport,
+                                                        fast_path, plan):
+        """No reference cycle keeps a dropped accelerator (and its
+        simulated DRAM) alive until the next garbage collection."""
+        gc.disable()
+        try:
+            accel = ProtoAccelerator(config=SoCConfig(transport=transport),
+                                     faults=plan, fast_path=fast_path)
+            accel.register_schema(schema)
+            m = schema["M"].new_message()
+            m["x"] = 7
+            m["s"] = "payload"
+            for _ in range(4):
+                accel.deserialize(schema["M"], m.serialize())
+                accel.serialize(schema["M"], accel.load_object(m))
+            memory = weakref.ref(accel.memory)
+            del accel
+            assert memory() is None
+        finally:
+            gc.enable()

@@ -21,6 +21,7 @@ from repro.faults import (
 from repro.faults.plan import PCIE_SITES
 from repro.proto import parse_schema
 from repro.proto.decoder import parse_message
+from repro.proto.errors import AccelFault, WatchdogAbort
 from repro.soc.config import SoCConfig
 
 _SCHEMA = parse_schema("""
@@ -55,11 +56,11 @@ def _probe_message():
     return message
 
 
-def _accel(plan=None, recovery=None, transport="rocc"):
+def _accel(plan=None, recovery=None, transport="rocc", **kwargs):
     device = ProtoAccelerator(config=SoCConfig(transport=transport),
                               deser_arena_bytes=1 << 20,
                               ser_arena_bytes=1 << 20,
-                              faults=plan, recovery=recovery)
+                              faults=plan, recovery=recovery, **kwargs)
     device.register_schema(_SCHEMA)
     return device
 
@@ -235,3 +236,68 @@ def test_bus_stall_recorded_on_bus_ledger():
     accel = _accel(plan)
     accel.deserialize(_SCHEMA["Probe"], _probe_message().serialize())
     assert accel.bus.stalls == 1
+
+
+@pytest.mark.parametrize("transport", ["rocc", "pcie"])
+@pytest.mark.parametrize("op", ["deserialize", "serialize"])
+def test_unrecovered_fault_reraises_with_its_charge(op, transport):
+    """``cpu_fallback=False``: a transient fault that outlives the retry
+    budget re-raises from the driver carrying everything the device
+    burned on the operation -- every wasted attempt, every backoff
+    pause and, over PCIe, the abandoned submission's transport work
+    (on RoCC that stays on the overhead ledger)."""
+    policy = RecoveryPolicy(max_retries=2, cpu_fallback=False)
+    plan = _single_site_plan(FaultSite.BUS_STALL, transient_duration=10)
+    accel = _accel(plan, recovery=policy, transport=transport)
+    message = _probe_message()
+    if op == "deserialize":
+        args = (message.serialize(),)
+    else:
+        args = (accel.load_object(message),)
+    overhead_before = accel.transport_overhead_cycles
+    link_before = accel.transport.dispatch_cycles_total
+    with pytest.raises(AccelFault) as excinfo:
+        getattr(accel, op)(_SCHEMA["Probe"], *args)
+    fault = excinfo.value
+    assert fault.charged_faults == 3
+    assert fault.charged_retries == 2
+    wasted = sum(f.cycle for f in accel.faults.log)
+    backoff = policy.backoff(0) + policy.backoff(1)
+    link = accel.transport.dispatch_cycles_total - link_before
+    assert link > 0
+    if transport == "rocc":
+        assert fault.charged_cycles == wasted + backoff
+        assert accel.transport_overhead_cycles - overhead_before \
+            == pytest.approx(link)
+    else:
+        assert fault.charged_cycles == pytest.approx(wasted + backoff + link)
+        assert accel.transport_overhead_cycles == overhead_before
+    stats = accel.fault_stats
+    assert stats.faults_injected == 3
+    assert stats.transient_retries == 2
+    assert stats.cpu_fallbacks == 0
+    assert stats.wasted_accel_cycles == wasted
+    assert stats.backoff_cycles == backoff
+
+
+@pytest.mark.parametrize("fast_path", ["codegen", "interp"])
+def test_genuine_fault_without_plan_rolls_back_serializer_arena(fast_path):
+    """With no fault plan a genuine fault (here the watchdog aborting a
+    runaway serializer after the last fields' bytes were written)
+    propagates, and the failed attempt is undone like any other: its
+    partial output leaves the arena."""
+    message = _probe_message()
+    clean = _accel(fast_path=fast_path)
+    cycles = clean.serialize(_SCHEMA["Probe"],
+                             clean.load_object(message)).stats.cycles
+    accel = _accel(fast_path=fast_path)
+    addr = accel.load_object(message)
+    accel.watchdog.budget_cycles = 0.9 * cycles
+    mark = accel._ser_arena.mark()
+    with pytest.raises(WatchdogAbort) as excinfo:
+        accel.serialize(_SCHEMA["Probe"], addr)
+    assert not excinfo.value.injected
+    # The attempt did write below the cursor before it was aborted ...
+    assert any(accel.memory.read(mark[0] - 16, 16))
+    # ... and the cursor and pointer table are back at the mark.
+    assert accel._ser_arena.mark() == mark

@@ -3,6 +3,9 @@ structured event log, auto-evict, and the double-quarantine fallback
 regression (ISSUE 8).
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.proto import parse_schema
@@ -328,3 +331,21 @@ def test_healthy_fleet_never_auto_evicts():
         fabric.controller.tick(now)
     assert all(s.state is ShardState.ACTIVE for s in fabric.shards)
     assert fabric.reshard_events == []
+
+
+def test_dropped_fabric_is_freed_by_reference_counting():
+    """The controller does not keep its fabric alive: a dropped fabric,
+    with its shards' devices and their simulated DRAM, is freed at once,
+    not at the next garbage collection -- also after a reshard."""
+    gc.disable()
+    try:
+        fabric = _build_fabric(shards=2)
+        for cookie, tenant in enumerate(_TENANTS):
+            fabric.call(tenant, "Repeat", _request_bytes(_SCHEMA, cookie),
+                        at=cookie * 1_000.0)
+        fabric.controller.add_shard(now=10_000.0)
+        memory = weakref.ref(fabric.shards[0].server.tiles[0].accel.memory)
+        del fabric
+        assert memory() is None
+    finally:
+        gc.enable()
