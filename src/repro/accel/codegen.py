@@ -66,7 +66,11 @@ from repro.accel.serializer import SerSchedule
 from repro.faults.plan import FaultSite
 from repro.memo import MISS, Memo
 from repro.memory.layout import LayoutCache
-from repro.proto.descriptor import MessageDescriptor, structural_fingerprint
+from repro.proto.descriptor import (
+    MessageDescriptor,
+    reachable_types,
+    structural_fingerprint,
+)
 from repro.proto.errors import DecodeError
 from repro.proto.lazy import install
 from repro.proto.types import (
@@ -121,25 +125,6 @@ CODE_CACHE = Memo("codegen", 128)
 def _f(value: float) -> str:
     """Exact (shortest round-trip) float literal."""
     return repr(float(value))
-
-
-def _type_order(root: MessageDescriptor):
-    """Depth-first type indexing over the descriptor graph (stable for a
-    given root, mirrored by the plan resolver through the spec)."""
-    order: dict[int, int] = {}
-    descs: list[MessageDescriptor] = []
-
-    def visit(descriptor: MessageDescriptor) -> None:
-        if id(descriptor) in order:
-            return
-        order[id(descriptor)] = len(descs)
-        descs.append(descriptor)
-        for fd in descriptor.fields:
-            if fd.message_type is not None:
-                visit(fd.message_type)
-
-    visit(root)
-    return order, descs
 
 
 def _build_spec(descs, order, layouts: LayoutCache) -> list[dict]:
@@ -388,7 +373,7 @@ def _gen_deser_source(descriptor: MessageDescriptor,
     """Emit the straight-line deserializer for ``descriptor``: one
     ``(name, source)`` chunk per function, plus the validation spec."""
     layouts = LayoutCache()
-    order, descs = _type_order(descriptor)
+    order, descs, _ = reachable_types(descriptor)
     spec = _build_spec(descs, order, layouts)
 
     out = _Writer()
@@ -747,7 +732,7 @@ def _gen_ser_source(descriptor: MessageDescriptor, schedule: SerSchedule):
     """Emit the straight-line serializer for ``descriptor``: one
     ``(name, source)`` chunk per function, plus the validation spec."""
     layouts = LayoutCache()
-    order, descs = _type_order(descriptor)
+    order, descs, _ = reachable_types(descriptor)
     spec = _build_spec(descs, order, layouts)
 
     out = _Writer()

@@ -303,7 +303,12 @@ class ProtoAccelerator:
                     unrecovered.charged_cycles = wasted + backoff
                     unrecovered.charged_faults = injected
                     unrecovered.charged_retries = retries
-                    raise unrecovered
+                    try:
+                        raise unrecovered
+                    finally:
+                        # The traceback reaches this frame: drop the
+                        # local, or frame and fault form a cycle.
+                        unrecovered = None
                 stats = result.stats
                 stats.faults_injected += injected
                 stats.fault_retries += retries

@@ -253,6 +253,37 @@ class MessageDescriptor:
         return parse_message(self, data, arena=arena)
 
 
+def reachable_types(root: MessageDescriptor):
+    """Walk the message types ``root`` reaches, depth first, fields in
+    declaration order.
+
+    Returns ``(order, types, finished)``: ``order`` maps
+    ``id(descriptor)`` to its first-visit index, ``types`` lists the
+    types in first-visit order (``root`` first), and ``finished`` lists
+    them in the order their walks complete (each type after the types
+    it reaches first).  An explicit stack, not a recursive closure: a
+    closure that calls itself is a function <-> cell cycle left for the
+    garbage collector on every call.
+    """
+    order = {id(root): 0}
+    types = [root]
+    finished = []
+    stack = [(root, iter(root.fields))]
+    while stack:
+        md, fields = stack[-1]
+        for fd in fields:
+            sub = fd.message_type
+            if sub is not None and id(sub) not in order:
+                order[id(sub)] = len(types)
+                types.append(sub)
+                stack.append((sub, iter(sub.fields)))
+                break
+        else:
+            stack.pop()
+            finished.append(md)
+    return order, types, finished
+
+
 def structural_fingerprint(descriptor: MessageDescriptor) -> str:
     """A stable digest of a message type's wire-relevant structure.
 
@@ -268,27 +299,19 @@ def structural_fingerprint(descriptor: MessageDescriptor) -> str:
         return cached
     import hashlib
 
-    order: dict[int, int] = {}
+    order, _, finished = reachable_types(descriptor)
     parts: list[str] = []
-
-    def visit(md: MessageDescriptor) -> int:
-        key = id(md)
-        if key in order:
-            return order[key]
-        index = order[key] = len(order)
+    for md in finished:
         fields = []
         for fd in md.fields:
-            sub = visit(fd.message_type) if fd.message_type is not None \
-                else -1
+            sub = order[id(fd.message_type)] \
+                if fd.message_type is not None else -1
             enum = (tuple(sorted(fd.enum_type.values.items()))
                     if fd.enum_type is not None else None)
             fields.append((fd.number, fd.field_type.value, fd.label.value,
                            fd.packed, repr(fd.default), fd.validate_utf8,
                            fd.oneof_group, sub, enum))
-        parts.append(f"{index}:{md.full_name}:{fields!r}")
-        return index
-
-    visit(descriptor)
+        parts.append(f"{order[id(md)]}:{md.full_name}:{fields!r}")
     fingerprint = hashlib.sha256(
         "|".join(parts).encode()).hexdigest()[:32]
     descriptor._structural_fp = fingerprint

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from struct import pack as _struct_pack, unpack_from as _struct_unpack_from
 
+from repro.proto.descriptor import reachable_types
 from repro.proto.errors import DecodeError, EncodeError
 from repro.proto.lazy import install
 from repro.proto.message import Message, RepeatedField
@@ -110,24 +111,6 @@ def warm(schema) -> int:
 # Source generation
 
 
-def _type_order(root):
-    """DFS over reachable message types -> ({id: index}, [descriptor])."""
-    order: dict[int, int] = {}
-    descs = []
-    stack = [root]
-    while stack:
-        d = stack.pop()
-        if id(d) in order:
-            continue
-        order[id(d)] = len(descs)
-        descs.append(d)
-        for fd in d.fields:
-            if fd.field_type is FieldType.MESSAGE and fd.message_type is not None:
-                if id(fd.message_type) not in order:
-                    stack.append(fd.message_type)
-    return order, descs
-
-
 class _W:
     """Tiny indented source writer keeping one chunk per function."""
 
@@ -197,7 +180,7 @@ def _emit_inline_varint(w: _W, out: str) -> None:
 
 
 def _gen_parse_source(root) -> list[tuple[str, str]]:
-    order, descs = _type_order(root)
+    order, descs, _ = reachable_types(root)
     w = _W()
     for ti, d in enumerate(descs):
         w.begin(f"_p{ti}")
@@ -373,7 +356,7 @@ def _scalar_size_expr(fd, v: str) -> str:
 
 
 def _gen_encode_source(root) -> list[tuple[str, str]]:
-    order, descs = _type_order(root)
+    order, descs, _ = reachable_types(root)
     w = _W()
     for ti, d in enumerate(descs):
         _gen_size_fn(w, order, ti, d)
@@ -588,7 +571,7 @@ def _build_kernels(root):
     no per-field escape hatch, so any unsupported field type disables
     specialization for the whole root type.
     """
-    for d in _type_order(root)[1]:
+    for d in reachable_types(root)[1]:
         for fd in d.fields:
             if fd.field_type not in _SUPPORTED:
                 return None
@@ -602,7 +585,7 @@ def _build_kernels(root):
 
 
 def _namespace(root) -> dict:
-    order, descs = _type_order(root)
+    order, descs, _ = reachable_types(root)
     from repro.proto.decoder import _parse_one_field
     namespace: dict = {
         "dv": decode_varint,

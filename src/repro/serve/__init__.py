@@ -35,7 +35,6 @@ from repro.serve.errors import (
 from repro.serve.fabric import (
     FabricPolicy,
     FabricShard,
-    ReshardController,
     ReshardEvent,
     ReshardPolicy,
     ServingFabric,
@@ -114,7 +113,6 @@ __all__ = [
     "ParallelReplayResult",
     "REPLAY_SERVE_POLICY",
     "ReplayCall",
-    "ReshardController",
     "ReshardEvent",
     "ReshardPolicy",
     "ResilientServer",

@@ -6,20 +6,26 @@ Section 3 numbers imply: N independent shards -- each a full
 queue, circuit breakers, watchdogs, and tile pool -- behind a
 deterministic router.  Per call:
 
-1. **Tenant budget** (:mod:`repro.serve.tenants`) -- the tenant's
-   fabric-wide in-flight budget is checked first; an over-budget
-   arrival is shed with :class:`~repro.serve.errors.TenantOverloaded`
-   for zero cycles and zero shard-queue occupancy, so one tenant's
-   overload sheds that tenant, not the fleet.
+1. **Shed** (:meth:`~repro.serve.tenants.TenantAccount.shed`) -- the
+   tenant's fabric-wide in-flight budget is checked first; an
+   over-budget arrival is shed with
+   :class:`~repro.serve.errors.TenantOverloaded` for zero cycles and
+   zero shard-queue occupancy, so one tenant's overload sheds that
+   tenant, not the fleet.
 2. **Routing** (:mod:`repro.serve.router`) -- consistent hash of the
    tenant id picks the primary shard; if that shard is unroutable
    (quarantined with no probe-ready breaker) the ranked fallback walks
    the remaining shards by effective health tier first, load second.
-3. **Shard serve** -- the shard's own PR 3 machinery (admission,
-   deadline gating, breakers, failover, watchdog, fit-gated host
-   fallback) runs unchanged, so the per-call latency bound
-   ``deadline + watchdog_budget`` survives the extra routing layer
-   (``tests/serve/test_fabric_watchdog.py``).
+3. **Serve** (:meth:`FabricShard.serve`) -- the shard's own server
+   (admission, deadline gating, breakers, failover, watchdog,
+   fit-gated host fallback) runs unchanged, so the per-call latency
+   bound ``deadline + watchdog_budget`` survives the extra routing
+   layer (``tests/serve/test_fabric_watchdog.py``); the outcome is
+   stamped and counted into the tenant's ledger.
+
+Steps 1 and 3 are the whole per-call path of a host-parallel worker
+too (:mod:`repro.serve.parallel`), which owns one shard and has no
+routing to do.
 
 Shard count must never change semantics or cycle charging: a fixed
 replay through 1, 2, and 4 shards is bit-identical -- per-message
@@ -37,10 +43,10 @@ lifecycle state::
                                                         v
                                                      REMOVED
 
-The :class:`ReshardController` drives the transitions on the simulated
-clock, entirely from :meth:`ReshardController.tick` at each arrival:
+The fabric drives the transitions on the simulated clock, entirely
+from :meth:`ServingFabric.tick` at each arrival:
 
-* **Evict** -- :meth:`ReshardController.drain` swaps the ring via
+* **Evict** -- :meth:`ServingFabric.drain` swaps the ring via
   :meth:`~repro.serve.router.ConsistentHashRouter.without` (bumping
   :attr:`ServingFabric.ring_epoch`) and arms the shard's drain barrier
   (refuse-new, accept-pending).  In-flight work completes on the
@@ -50,7 +56,7 @@ clock, entirely from :meth:`ReshardController.tick` at each arrival:
   offered`` closes with nothing silently dropped.  A shard that stays
   fully quarantined for ``ReshardPolicy.auto_evict_after_cycles`` is
   evicted automatically.
-* **Grow** -- :meth:`ReshardController.add_shard` wires every tenant's
+* **Grow** -- :meth:`ServingFabric.add_shard` wires every tenant's
   schema and handlers onto a fresh shard, adds it to the ring via
   :meth:`~repro.serve.router.ConsistentHashRouter.with_shard`
   (epoch bump), and admits it as JOINING under a ramped in-flight
@@ -68,12 +74,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import weakref
 from dataclasses import dataclass, field
 
 from repro.proto.descriptor import ServiceDescriptor
 from repro.serve.breaker import BreakerState
-from repro.serve.errors import FabricConfigError, TenantOverloaded
+from repro.serve.errors import FabricConfigError
 from repro.serve.router import (
     ConsistentHashRouter,
     RouterPolicy,
@@ -86,7 +91,7 @@ from repro.serve.server import (
     ServePolicy,
     ServeStats,
 )
-from repro.serve.tenants import TenantPolicy, TenantRegistry
+from repro.serve.tenants import TenantAccount, TenantPolicy, TenantRegistry
 
 
 class ShardState(enum.Enum):
@@ -104,7 +109,7 @@ ROUTABLE_STATES = (ShardState.ACTIVE, ShardState.JOINING)
 
 @dataclass(frozen=True)
 class ReshardPolicy:
-    """Every knob of the online-resharding controller."""
+    """Every knob of the fabric's online resharding."""
 
     #: Minimum cycles a shard spends DRAINING before removal; the
     #: barrier also waits for the shard's pending work to hit zero.
@@ -155,24 +160,11 @@ class FabricPolicy:
     default_budget: TenantPolicy = field(default_factory=TenantPolicy)
     #: Online-resharding knobs (drain window, warm-up ramp, auto-evict).
     reshard: ReshardPolicy = field(default_factory=ReshardPolicy)
-    #: Convenience override for the ring's virtual-node count; ``None``
-    #: keeps ``router.vnodes``.  Validated here so a misconfigured
-    #: fabric fails at construction with a structured error naming the
-    #: knob, not deep inside ring construction.
-    vnodes: int | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise FabricConfigError("shards", self.shards,
                                     "need at least one shard")
-        if self.vnodes is not None:
-            if self.vnodes < 1:
-                raise FabricConfigError("vnodes", self.vnodes,
-                                        "must be >= 1 (each shard needs "
-                                        "at least one ring point)")
-            object.__setattr__(
-                self, "router",
-                dataclasses.replace(self.router, vnodes=self.vnodes))
 
 
 @dataclass(frozen=True)
@@ -213,8 +205,23 @@ class FabricShard:
         self._completions = [c for c in self._completions if c > now]
         return len(self._completions)
 
-    def note_completion(self, completed_at: float) -> None:
-        self._completions.append(completed_at)
+    def serve(self, account: TenantAccount, method_name: str,
+              request_bytes: bytes, at: float, epoch: int,
+              migrated: bool = False) -> CallOutcome:
+        """Serve one admitted call of ``account``'s tenant: the server's
+        call, stamped with this shard, the tenant, ``migrated`` and the
+        ring ``epoch``, noted on this shard's and the tenant's in-flight
+        windows, and counted into the tenant's ledger."""
+        outcome = self.server.call(method_name, request_bytes, at=at,
+                                   tenant=account.tenant)
+        outcome.shard = self.index
+        outcome.tenant = account.tenant
+        outcome.migrated = migrated
+        outcome.ring_epoch = epoch
+        self._completions.append(outcome.completed_at)
+        account.note_completion(outcome.completed_at)
+        account.stats.record(outcome)
+        return outcome
 
     def view(self, now: float) -> ShardView:
         tiles = self.server.tiles
@@ -242,155 +249,18 @@ class _DrainState:
     old_router: ConsistentHashRouter
 
 
-class ReshardController:
-    """Drives the shard lifecycle on the simulated clock.
+class ServingFabric:
+    """Consistent-hash-routed, budget-isolated serving over N shards,
+    resharded online on the simulated clock.
 
-    Entirely arrival-driven: :meth:`tick` runs at the top of every
-    ``fabric.call`` and (a) finalizes drains whose window elapsed and
+    Resharding is arrival-driven: :meth:`tick` runs at the top of every
+    :meth:`call` and (a) finalizes drains whose window elapsed and
     whose pending work hit zero, (b) promotes JOINING shards whose
     warm-up elapsed, and (c) auto-evicts persistently quarantined
     shards when the policy arms it.  With the default policy and no
-    explicit drain/add, every tick is a no-op, so the PR 6 replay
-    bit-identity is untouched.
+    explicit :meth:`drain`/:meth:`add_shard`, every tick is a no-op,
+    so a static fabric's replay bit-identity is untouched.
     """
-
-    def __init__(self, fabric: "ServingFabric"):
-        # The fabric owns its controller, so a strong back-reference
-        # would be a cycle keeping a dropped fabric's shards (and their
-        # devices' simulated DRAM) alive until a garbage collection.
-        self._fabric = weakref.ref(fabric)
-        self.policy = fabric.policy.reshard
-        self._drains: dict[int, _DrainState] = {}
-        self._quarantined_since: dict[int, float] = {}
-
-    # -- queries -----------------------------------------------------------------
-
-    @property
-    def fabric(self) -> "ServingFabric":
-        return self._fabric()
-
-    @property
-    def draining_shards(self) -> tuple[int, ...]:
-        return tuple(self._drains)
-
-    def old_home(self, tenant: str) -> int | None:
-        """The draining shard ``tenant`` is being migrated away from,
-        or ``None`` when no in-progress drain owned the tenant."""
-        for drain in self._drains.values():
-            if drain.old_router.route(tenant) == drain.shard:
-                return drain.shard
-        return None
-
-    def warm_budget(self, shard: FabricShard, now: float) -> int:
-        """The JOINING shard's ramped in-flight admission budget:
-        linear from ``warmup_initial_inflight`` to
-        ``warmup_target_inflight`` over ``warmup_cycles``."""
-        policy = self.policy
-        if shard.state is not ShardState.JOINING:
-            return policy.warmup_target_inflight
-        if policy.warmup_cycles <= 0:
-            return policy.warmup_target_inflight
-        frac = min(1.0, max(0.0, (now - shard.joined_at)
-                            / policy.warmup_cycles))
-        span = (policy.warmup_target_inflight
-                - policy.warmup_initial_inflight)
-        return policy.warmup_initial_inflight + int(frac * span)
-
-    def _routable(self) -> list[FabricShard]:
-        return [s for s in self.fabric.shards
-                if s.state in ROUTABLE_STATES]
-
-    # -- the clock ---------------------------------------------------------------
-
-    def tick(self, now: float) -> None:
-        """Advance the lifecycle to cycle ``now``; see the class doc."""
-        fabric = self.fabric
-        for sid, drain in list(self._drains.items()):
-            shard = fabric.shards[sid]
-            if (now >= drain.window_ends
-                    and shard.server.pending(now) == 0):
-                shard.state = ShardState.REMOVED
-                del self._drains[sid]
-                fabric._log(now, "shard_removed", sid,
-                            f"drained in {now - drain.started:.0f} cycles")
-        for shard in fabric.shards:
-            if (shard.state is ShardState.JOINING
-                    and now - shard.joined_at >= self.policy.warmup_cycles):
-                shard.state = ShardState.ACTIVE
-                fabric._log(now, "warmup_complete", shard.index)
-        if self.policy.auto_evict_after_cycles is None:
-            return
-        for shard in fabric.shards:
-            if shard.state not in ROUTABLE_STATES:
-                self._quarantined_since.pop(shard.index, None)
-                continue
-            view = shard.view(now)
-            if view.effective_tier() < 2:
-                self._quarantined_since.pop(shard.index, None)
-                continue
-            since = self._quarantined_since.setdefault(shard.index, now)
-            if (now - since >= self.policy.auto_evict_after_cycles
-                    and len(self._routable()) >= 2):
-                fabric._log(now, "auto_evict", shard.index,
-                            f"quarantined since cycle {since:.0f}")
-                self.drain(shard.index, now)
-
-    # -- transitions -------------------------------------------------------------
-
-    def drain(self, shard_id: int, now: float) -> None:
-        """Evict one shard: swap the ring (``without``), arm the drain
-        barrier, and let pending work complete.  Never drops a call:
-        new arrivals route (and are accounted) via the new ring, the
-        draining shard finishes what it already admitted."""
-        fabric = self.fabric
-        try:
-            shard = fabric.shards[shard_id]
-        except IndexError:
-            raise ValueError(f"no shard {shard_id}") from None
-        if shard.state not in ROUTABLE_STATES:
-            raise ValueError(f"cannot drain shard {shard_id} in state "
-                             f"{shard.state.value}")
-        if len(self._routable()) < 2:
-            raise ValueError("cannot drain the last routable shard")
-        old_router = fabric.router
-        fabric.router = old_router.without(shard_id)
-        fabric.ring_epoch += 1
-        shard.state = ShardState.DRAINING
-        shard.server.begin_drain(now)
-        self._drains[shard_id] = _DrainState(
-            shard=shard_id, started=now,
-            window_ends=now + self.policy.drain_cycles,
-            old_router=old_router)
-        self._quarantined_since.pop(shard_id, None)
-        fabric._log(now, "drain_start", shard_id,
-                    f"pending {shard.server.pending(now)}")
-
-    def add_shard(self, now: float) -> int:
-        """Grow the fabric by one JOINING shard under load: wire every
-        registered tenant (schema + handlers) onto it, add its ring
-        points (``with_shard``), and ramp its admission budget over the
-        warm-up window.  Returns the new shard's index."""
-        fabric = self.fabric
-        index = len(fabric.shards)
-        shard = FabricShard(index, fabric.policy)
-        shard.joined_at = now
-        fabric._wire_shard(shard)
-        fabric.shards.append(shard)
-        fabric.router = fabric.router.with_shard(index)
-        fabric.ring_epoch += 1
-        if self.policy.warmup_cycles > 0:
-            shard.state = ShardState.JOINING
-            fabric._log(now, "shard_joined", index,
-                        f"warming for {self.policy.warmup_cycles:.0f} "
-                        "cycles")
-        else:
-            fabric._log(now, "shard_joined", index, "no warm-up")
-        return index
-
-
-class ServingFabric:
-    """Consistent-hash-routed, budget-isolated serving over N shards,
-    resharded online by :class:`ReshardController`."""
 
     def __init__(self, policy: FabricPolicy | None = None):
         self.policy = policy or FabricPolicy()
@@ -402,16 +272,12 @@ class ServingFabric:
         #: Bumped on every ring swap (shard join or evict); stamped
         #: onto each outcome as ``ring_epoch``.
         self.ring_epoch = 0
-        self.controller = ReshardController(self)
         #: Structured lifecycle transitions, in simulated-clock order.
         self.reshard_events: list[ReshardEvent] = []
-        #: Calls the fabric shed at the tenant budget, per tenant (also
-        #: folded into each tenant's ServeStats as ``shed``).
-        self.tenant_sheds: dict[str, int] = {}
+        self._drains: dict[int, _DrainState] = {}
+        self._quarantined_since: dict[int, float] = {}
         #: (tenant, primary_shard, fallback_shard) for every re-route.
         self.fallback_routes: list[tuple[str, int, int]] = []
-        #: Migrated calls per tenant (drain-window re-homes).
-        self.migrations: dict[str, int] = {}
         #: Calls deflected off a JOINING shard that was at its ramped
         #: warm-up budget.
         self.warmup_deflections = 0
@@ -431,7 +297,6 @@ class ServingFabric:
         shard (any shard may serve it after a fallback re-route)."""
         self.registry.add(tenant, service,
                           budget or self.policy.default_budget)
-        self.tenant_sheds[tenant] = 0
         self._handlers[tenant] = {}
         for shard in self.shards:
             shard.server.attach_tenant(tenant, service)
@@ -457,6 +322,12 @@ class ServingFabric:
         """The tenant's fabric-level ledger (includes budget sheds,
         which never reach a shard)."""
         return self.registry.account(tenant).stats
+
+    @property
+    def tenant_sheds(self) -> dict[str, int]:
+        """Calls shed at the tenant budget, per tenant (also counted in
+        each tenant's ledger as ``shed``)."""
+        return {account.tenant: account.sheds for account in self.registry}
 
     @property
     def stats(self) -> ServeStats:
@@ -508,7 +379,7 @@ class ServingFabric:
         # in-flight budget; overflow deflects to the ranked fallback so
         # the joiner's ramp bounds its tail without dropping calls.
         if primary.state is ShardState.JOINING:
-            budget = self.controller.warm_budget(primary, now)
+            budget = self.warm_budget(primary, now)
             if primary.inflight(now) >= budget:
                 deflected = self._fallback_for(primary, now)
                 if deflected is not None:
@@ -527,6 +398,124 @@ class ServingFabric:
             (tenant, primary.index, fallback.index))
         return fallback
 
+    # -- resharding: queries ----------------------------------------------------
+
+    @property
+    def draining_shards(self) -> tuple[int, ...]:
+        return tuple(self._drains)
+
+    def old_home(self, tenant: str) -> int | None:
+        """The draining shard ``tenant`` is being migrated away from,
+        or ``None`` when no in-progress drain owned the tenant."""
+        for drain in self._drains.values():
+            if drain.old_router.route(tenant) == drain.shard:
+                return drain.shard
+        return None
+
+    def warm_budget(self, shard: FabricShard, now: float) -> int:
+        """The JOINING shard's ramped in-flight admission budget:
+        linear from ``warmup_initial_inflight`` to
+        ``warmup_target_inflight`` over ``warmup_cycles``."""
+        policy = self.policy.reshard
+        if shard.state is not ShardState.JOINING:
+            return policy.warmup_target_inflight
+        if policy.warmup_cycles <= 0:
+            return policy.warmup_target_inflight
+        frac = min(1.0, max(0.0, (now - shard.joined_at)
+                            / policy.warmup_cycles))
+        span = (policy.warmup_target_inflight
+                - policy.warmup_initial_inflight)
+        return policy.warmup_initial_inflight + int(frac * span)
+
+    def _routable(self) -> list[FabricShard]:
+        return [s for s in self.shards if s.state in ROUTABLE_STATES]
+
+    # -- resharding: the clock --------------------------------------------------
+
+    def tick(self, now: float) -> None:
+        """Advance the shard lifecycle to cycle ``now``; see the class
+        doc."""
+        policy = self.policy.reshard
+        for sid, drain in list(self._drains.items()):
+            shard = self.shards[sid]
+            if (now >= drain.window_ends
+                    and shard.server.pending(now) == 0):
+                shard.state = ShardState.REMOVED
+                del self._drains[sid]
+                self._log(now, "shard_removed", sid,
+                          f"drained in {now - drain.started:.0f} cycles")
+        for shard in self.shards:
+            if (shard.state is ShardState.JOINING
+                    and now - shard.joined_at >= policy.warmup_cycles):
+                shard.state = ShardState.ACTIVE
+                self._log(now, "warmup_complete", shard.index)
+        if policy.auto_evict_after_cycles is None:
+            return
+        for shard in self.shards:
+            if shard.state not in ROUTABLE_STATES:
+                self._quarantined_since.pop(shard.index, None)
+                continue
+            view = shard.view(now)
+            if view.effective_tier() < 2:
+                self._quarantined_since.pop(shard.index, None)
+                continue
+            since = self._quarantined_since.setdefault(shard.index, now)
+            if (now - since >= policy.auto_evict_after_cycles
+                    and len(self._routable()) >= 2):
+                self._log(now, "auto_evict", shard.index,
+                          f"quarantined since cycle {since:.0f}")
+                self.drain(shard.index, now)
+
+    # -- resharding: transitions ------------------------------------------------
+
+    def drain(self, shard_id: int, now: float) -> None:
+        """Evict one shard: swap the ring (``without``), arm the drain
+        barrier, and let pending work complete.  Never drops a call:
+        new arrivals route (and are accounted) via the new ring, the
+        draining shard finishes what it already admitted."""
+        try:
+            shard = self.shards[shard_id]
+        except IndexError:
+            raise ValueError(f"no shard {shard_id}") from None
+        if shard.state not in ROUTABLE_STATES:
+            raise ValueError(f"cannot drain shard {shard_id} in state "
+                             f"{shard.state.value}")
+        if len(self._routable()) < 2:
+            raise ValueError("cannot drain the last routable shard")
+        old_router = self.router
+        self.router = old_router.without(shard_id)
+        self.ring_epoch += 1
+        shard.state = ShardState.DRAINING
+        shard.server.begin_drain(now)
+        self._drains[shard_id] = _DrainState(
+            shard=shard_id, started=now,
+            window_ends=now + self.policy.reshard.drain_cycles,
+            old_router=old_router)
+        self._quarantined_since.pop(shard_id, None)
+        self._log(now, "drain_start", shard_id,
+                  f"pending {shard.server.pending(now)}")
+
+    def add_shard(self, now: float) -> int:
+        """Grow the fabric by one JOINING shard under load: wire every
+        registered tenant (schema + handlers) onto it, add its ring
+        points (``with_shard``), and ramp its admission budget over the
+        warm-up window.  Returns the new shard's index."""
+        policy = self.policy.reshard
+        index = len(self.shards)
+        shard = FabricShard(index, self.policy)
+        shard.joined_at = now
+        self._wire_shard(shard)
+        self.shards.append(shard)
+        self.router = self.router.with_shard(index)
+        self.ring_epoch += 1
+        if policy.warmup_cycles > 0:
+            shard.state = ShardState.JOINING
+            self._log(now, "shard_joined", index,
+                      f"warming for {policy.warmup_cycles:.0f} cycles")
+        else:
+            self._log(now, "shard_joined", index, "no warm-up")
+        return index
+
     # -- the call path ----------------------------------------------------------
 
     def call(self, tenant: str, method_name: str, request_bytes: bytes,
@@ -534,31 +523,12 @@ class ServingFabric:
         """Serve one tenant call arriving at cycle ``at``; never raises
         on overload/faults -- every terminal condition is a structured
         :class:`~repro.serve.server.CallOutcome`."""
-        self.controller.tick(at)
+        self.tick(at)
         account = self.registry.account(tenant)
-        full = account.service.full_method_name(method_name)
-        if not account.admit(at):
-            outcome = CallOutcome(
-                status="shed", arrival=at, completed_at=at,
-                error=TenantOverloaded(
-                    f"tenant {tenant!r} at its in-flight budget "
-                    f"({account.policy.max_inflight})",
-                    method=full, tenant=tenant),
-                tenant=tenant, ring_epoch=self.ring_epoch)
-            self.tenant_sheds[tenant] += 1
-            account.fold(outcome)
+        outcome = account.shed(method_name, at, self.ring_epoch)
+        if outcome is not None:
             return outcome
-        migrated = self.controller.old_home(tenant) is not None
-        shard = self._pick_shard(tenant, at)
-        outcome = shard.server.call(method_name, request_bytes, at=at,
-                                    tenant=tenant)
-        outcome.shard = shard.index
-        outcome.tenant = tenant
-        outcome.migrated = migrated
-        outcome.ring_epoch = self.ring_epoch
-        if migrated:
-            self.migrations[tenant] = self.migrations.get(tenant, 0) + 1
-        shard.note_completion(outcome.completed_at)
-        account.note_completion(outcome.completed_at)
-        account.fold(outcome)
-        return outcome
+        migrated = self.old_home(tenant) is not None
+        return self._pick_shard(tenant, at).serve(
+            account, method_name, request_bytes, at, self.ring_epoch,
+            migrated)

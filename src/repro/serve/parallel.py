@@ -9,7 +9,11 @@ This module cashes that in: a worker *process* owns one
 :class:`~repro.serve.fabric.FabricShard` end to end and replays exactly
 the calls the consistent-hash ring routes to it, so a 4-shard replay
 runs on 4 cores while charging stays bit-identical to the serial
-fabric.
+fabric.  Per call the worker runs the fabric's own two steps -- the
+tenant account's front-door shed
+(:meth:`~repro.serve.tenants.TenantAccount.shed`) and the shard's
+serve (:meth:`~repro.serve.fabric.FabricShard.serve`) -- so shedding,
+stamping and ledger counting exist once for both execution modes.
 
 Why bit-identity holds (the determinism argument, asserted by
 ``tests/fleet/test_parallel_replay.py``):
@@ -50,7 +54,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.serve.errors import TenantOverloaded
 from repro.serve.fabric import FabricPolicy, FabricShard
 from repro.serve.replay import (
     FleetReplaySpec,
@@ -90,6 +93,7 @@ class ShardResult:
     outcomes: list[tuple[int, CallOutcome]]
     #: Per-tenant fabric-level ledgers for tenants this shard owns.
     tenant_stats: dict[str, ServeStats]
+    #: Budget sheds of each owned tenant that shed at least one call.
     tenant_sheds: dict[str, int]
     watchdog_aborts: int
     health: str
@@ -126,54 +130,32 @@ def build_shard(spec: ShardSpec) -> tuple[FabricShard, TenantRegistry]:
 
 def execute_shard(spec: ShardSpec,
                   calls: list[tuple[int, ReplayCall]]) -> ShardResult:
-    """Replay one shard's slice of the call sequence, in arrival order.
-
-    The loop mirrors :meth:`~repro.serve.fabric.ServingFabric.call`'s
-    static-fabric path line for line -- front-door tenant budget, shed
-    bookkeeping, shard serve, completion notes -- minus the reshard
-    tick (a no-op on a static fabric) and cross-shard fallback (counted
-    as ``route_deviations`` instead; see the module docstring).
-    """
+    """Replay one shard's slice of the call sequence, in arrival order,
+    through :meth:`~repro.serve.fabric.ServingFabric.call`'s two
+    per-call steps: the front-door shed, then the shard's serve.  A
+    static fabric's reshard tick is a no-op and its ring epoch stays 0;
+    cross-shard fallback is counted as ``route_deviations`` instead
+    (see the module docstring)."""
     started = time.process_time()
     shard, registry = build_shard(spec)
     outcomes: list[tuple[int, CallOutcome]] = []
-    tenant_sheds: dict[str, int] = {}
     route_deviations = 0
     for call_index, call in calls:
         account = registry.account(call.tenant)
-        full = account.service.full_method_name(call.method)
-        if not account.admit(call.at):
-            outcome = CallOutcome(
-                status="shed", arrival=call.at, completed_at=call.at,
-                error=TenantOverloaded(
-                    f"tenant {call.tenant!r} at its in-flight budget "
-                    f"({account.policy.max_inflight})",
-                    method=full, tenant=call.tenant),
-                tenant=call.tenant, ring_epoch=0)
-            tenant_sheds[call.tenant] = \
-                tenant_sheds.get(call.tenant, 0) + 1
-            account.fold(outcome)
-            outcomes.append((call_index, outcome))
-            continue
-        if not shard.view(call.at).routable:
-            route_deviations += 1
-        outcome = shard.server.call(call.method, call.request,
-                                    at=call.at, tenant=call.tenant)
-        outcome.shard = shard.index
-        outcome.tenant = call.tenant
-        outcome.migrated = False
-        outcome.ring_epoch = 0
-        shard.note_completion(outcome.completed_at)
-        account.note_completion(outcome.completed_at)
-        account.fold(outcome)
+        outcome = account.shed(call.method, call.at, 0)
+        if outcome is None:
+            if not shard.view(call.at).routable:
+                route_deviations += 1
+            outcome = shard.serve(account, call.method, call.request,
+                                  call.at, 0)
         outcomes.append((call_index, outcome))
     served = {c.tenant for _, c in calls}
+    accounts = [a for a in registry if a.tenant in served]
     return ShardResult(
         index=spec.index,
         outcomes=outcomes,
-        tenant_stats={a.tenant: a.stats for a in registry
-                      if a.tenant in served},
-        tenant_sheds=tenant_sheds,
+        tenant_stats={a.tenant: a.stats for a in accounts},
+        tenant_sheds={a.tenant: a.sheds for a in accounts if a.sheds},
         watchdog_aborts=shard.server.watchdog_aborts,
         health=shard.server.health.state.value,
         route_deviations=route_deviations,

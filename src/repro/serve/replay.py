@@ -42,7 +42,7 @@ from repro.serve.fabric import FabricPolicy, ServingFabric
 from repro.serve.router import _hash64
 from repro.serve.server import ResilientServer, ServePolicy
 from repro.serve.tenants import TenantPolicy
-from repro.serve.workload import SERVING_SCHEMA
+from repro.serve.workload import SERVING_SCHEMA, make_echo_handler
 
 #: Schema templates for the fleet mix.  Every template exposes the same
 #: service shape (``Fleet.Ingest``) so the replay driver is uniform;
@@ -295,16 +295,6 @@ def _make_fleet_handler(schema, template: str):
     return ingest
 
 
-def _make_echo_handler(schema):
-    def repeat(request):
-        response = schema["EchoResponse"].new_message()
-        for _ in range(request["repeats"]):
-            response["texts"].append(request["text"])
-        response["cookie"] = request["cookie"]
-        return response
-    return repeat
-
-
 def _attach(add_tenant, register, spec: FleetReplaySpec) -> None:
     """Attach every tenant (fresh schema parse per tenant -- that *is*
     the per-tenant schema registry) and register its handler."""
@@ -312,7 +302,7 @@ def _attach(add_tenant, register, spec: FleetReplaySpec) -> None:
         if template == "echo":
             schema = parse_schema(SERVING_SCHEMA)
             add_tenant(tenant, schema.service("Echo"))
-            register(tenant, "Repeat", _make_echo_handler(schema))
+            register(tenant, "Repeat", make_echo_handler(schema))
         else:
             schema = parse_schema(FLEET_TEMPLATES[template])
             add_tenant(tenant, schema.service("Fleet"))
@@ -429,9 +419,9 @@ def run_resize_replay(spec: FleetReplaySpec, base_shards: int,
         while pending and pending[0].at_call <= i:
             event = pending.pop(0)
             if event.action == "add":
-                fabric.controller.add_shard(call.at)
+                fabric.add_shard(call.at)
             else:
-                fabric.controller.drain(event.shard, call.at)
+                fabric.drain(event.shard, call.at)
         outcomes.append(fabric.call(call.tenant, call.method,
                                     call.request, at=call.at))
     final_table = fabric.routing_table()

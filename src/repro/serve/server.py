@@ -210,6 +210,29 @@ class ServeStats:
     #: Arrival-to-termination latency of every admitted call.
     latencies: list = field(default_factory=list)
 
+    def record(self, outcome: "CallOutcome") -> None:
+        """Count one terminal outcome into this ledger -- the one rule
+        every ledger (a server's, a fabric tenant's) is kept by."""
+        self.offered += 1
+        self.accel_cycles += outcome.accel_cycles
+        self.cpu_cycles += outcome.cpu_cycles
+        if outcome.status == "shed":
+            self.shed += 1
+            return
+        self.latencies.append(outcome.latency_cycles)
+        if outcome.status == "ok":
+            # A migrated success terminated away from its draining
+            # old-ring home: its own accounting bucket, disjoint from
+            # succeeded, so the resharding identity closes per tenant.
+            if outcome.migrated:
+                self.migrated += 1
+            else:
+                self.succeeded += 1
+        elif outcome.status == "expired":
+            self.expired += 1
+        else:
+            self.faulted += 1
+
     @classmethod
     def fold(cls, ledgers) -> "ServeStats":
         """The fleet aggregate of per-tenant ledgers, summed in the order
@@ -271,7 +294,10 @@ class _Attempt:
     expired: bool = False          # a stage gate fired mid-call
     permanent: bool = False        # genuine error; retry cannot help
     data: bytes | None = None
-    fault: BaseException | None = None
+    #: The failure, wrapped at once: a kept fault's traceback reaches,
+    #: through its frames, the frame holding this attempt -- a cycle
+    #: that keeps the call stack alive until a garbage collection.
+    error: RpcError | None = None
 
 
 #: Tenant id used by the single-service constructor/call signatures, so
@@ -281,13 +307,11 @@ DEFAULT_TENANT = "default"
 
 @dataclass
 class _TenantBinding:
-    """One tenant's schema registry slice on this server: its service,
-    its handlers, and its private accounting."""
+    """One tenant's schema registry slice on this server: its service
+    and its handlers."""
 
-    tenant: str
     service: ServiceDescriptor
     handlers: dict = field(default_factory=dict)
-    stats: ServeStats = field(default_factory=ServeStats)
 
 
 class ResilientServer:
@@ -296,7 +320,8 @@ class ResilientServer:
     One server is one *shard* of the fabric (:mod:`repro.serve.fabric`):
     it owns its admission queue, breakers, watchdogs, and tile pool, and
     serves any number of tenants, each with its own attached service
-    (per-tenant schema registry) and per-tenant stats.  The single-
+    (per-tenant schema registry); per-tenant ledgers live with the
+    fabric's tenant accounts (:mod:`repro.serve.tenants`).  The single-
     service constructor keeps the pre-fabric API: ``ResilientServer(
     service, policy)`` binds ``service`` under :data:`DEFAULT_TENANT`.
     """
@@ -317,15 +342,6 @@ class ResilientServer:
 
     # -- wiring -----------------------------------------------------------------
 
-    @property
-    def service(self) -> ServiceDescriptor:
-        """The default tenant's service (pre-fabric single-service API)."""
-        return self._binding(DEFAULT_TENANT).service
-
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(self._tenants)
-
     def _binding(self, tenant: str) -> _TenantBinding:
         try:
             return self._tenants[tenant]
@@ -336,10 +352,10 @@ class ResilientServer:
     def attach_tenant(self, tenant: str,
                       service: ServiceDescriptor) -> None:
         """Bind one tenant's service: register its message types on
-        every tile and open its private stats ledger."""
+        every tile."""
         if tenant in self._tenants:
             raise ValueError(f"tenant {tenant!r} already attached")
-        self._tenants[tenant] = _TenantBinding(tenant, service)
+        self._tenants[tenant] = _TenantBinding(service)
         descriptors = []
         for method in service.methods:
             for descriptor in (method.input_descriptor,
@@ -348,9 +364,6 @@ class ResilientServer:
                     descriptors.append(descriptor)
         for tile in self.tiles:
             tile.accel.register_types(descriptors)
-
-    def tenant_stats(self, tenant: str) -> ServeStats:
-        return self._binding(tenant).stats
 
     def register(self, method_name: str, handler,
                  tenant: str = DEFAULT_TENANT) -> None:
@@ -387,8 +400,8 @@ class ResilientServer:
         """Arm the drain barrier: from cycle ``now`` on, new arrivals
         are refused with a zero-cycle :class:`~repro.serve.errors.
         ShardDraining`, while work already admitted (queued calls,
-        busy tiles) runs to completion untouched.  The fabric's
-        ReshardController swaps the ring *before* arming the barrier,
+        busy tiles) runs to completion untouched.  The fabric swaps
+        the ring *before* arming the barrier,
         so in normal operation no new call ever reaches it -- the
         barrier is the defense-in-depth guarantee that a drained shard
         can never silently absorb (and drop) traffic."""
@@ -419,41 +432,25 @@ class ResilientServer:
                            method=full, site="rpc.route")
 
         if self._draining_since is not None:
-            return self._finish(CallOutcome(
+            outcome = CallOutcome(
                 status="shed", arrival=at, completed_at=at,
                 error=ShardDraining(
                     f"shard draining since cycle "
                     f"{self._draining_since:.0f}: refusing new work "
                     f"(accept-pending only)", method=full),
-                health=self.health.state), binding)
-        if not self.queue.offer(at):
-            return self._finish(CallOutcome(
+                health=self.health.state)
+        elif not self.queue.offer(at):
+            outcome = CallOutcome(
                 status="shed", arrival=at, completed_at=at,
                 error=Overloaded(
                     f"admission queue full "
                     f"(depth {self.queue.policy.max_depth})", method=full),
-                health=self.health.state), binding)
-        deadline = self.queue.deadline(at)
-        outcome = self._serve_admitted(method, full, handler,
-                                       request_bytes, at, deadline)
-        return self._finish(outcome, binding)
-
-    def _finish(self, outcome: CallOutcome,
-                binding: _TenantBinding) -> CallOutcome:
-        for stats in (self.stats, binding.stats):
-            stats.offered += 1
-            stats.accel_cycles += outcome.accel_cycles
-            stats.cpu_cycles += outcome.cpu_cycles
-            if outcome.status == "shed":
-                stats.shed += 1
-                continue
-            stats.latencies.append(outcome.latency_cycles)
-            if outcome.status == "ok":
-                stats.succeeded += 1
-            elif outcome.status == "expired":
-                stats.expired += 1
-            else:
-                stats.faulted += 1
+                health=self.health.state)
+        else:
+            outcome = self._serve_admitted(method, full, handler,
+                                           request_bytes, at,
+                                           self.queue.deadline(at))
+        self.stats.record(outcome)
         return outcome
 
     def _serve_admitted(self, method, full: str, handler,
@@ -462,7 +459,7 @@ class ResilientServer:
         now = arrival
         attempts = 0
         tried: set[int] = set()
-        last_fault: BaseException | None = None
+        last_error: RpcError | None = None
         outcome = CallOutcome(status="failed", arrival=arrival,
                               completed_at=arrival)
 
@@ -504,10 +501,10 @@ class ResilientServer:
             if attempt.permanent:
                 outcome.completed_at = now
                 outcome.status = "failed"
-                outcome.error = RpcError.wrap(attempt.fault, method=full)
+                outcome.error = attempt.error
                 outcome.health = self.health.state
                 return outcome
-            last_fault = attempt.fault
+            last_error = attempt.error
             if attempts < self.policy.max_attempts:
                 self.stats.failovers += 1
 
@@ -515,7 +512,7 @@ class ResilientServer:
         # breakers open): fall back to the host core iff the precomputed
         # software cost fits the remaining budget.
         return self._host_serve(method, full, handler, request_bytes,
-                                arrival, now, deadline, last_fault,
+                                arrival, now, deadline, last_error,
                                 outcome)
 
     def _pick_tile(self, now: float, tried: set[int]):
@@ -587,10 +584,12 @@ class ResilientServer:
                                        auto_renew_arena=True)
         except AccelFault as fault:
             cost = stretch * getattr(fault, "charged_cycles", fault.cycle)
-            return _Attempt(end=now + cost, cycles=cost, fault=fault,
+            return _Attempt(end=now + cost, cycles=cost,
+                            error=RpcError.wrap(fault, method=full),
                             permanent=not fault.injected)
         except ProtoError as error:
-            return _Attempt(end=now, cycles=0.0, fault=error,
+            return _Attempt(end=now, cycles=0.0,
+                            error=RpcError.wrap(error, method=full),
                             permanent=True)
         cost = stretch * (result.stats.cycles
                           + result.stats.transport_cycles)
@@ -605,7 +604,7 @@ class ResilientServer:
         if (not isinstance(response, Message)
                 or response.descriptor is not method.output_descriptor):
             return _Attempt(end=now, cycles=charged, permanent=True,
-                            fault=RpcError(
+                            error=RpcError(
                                 f"handler must return {method.output_type}",
                                 method=full, site="rpc.handler"))
         now += self.policy.handler_cycles
@@ -619,7 +618,8 @@ class ResilientServer:
         except AccelFault as fault:
             cost = stretch * getattr(fault, "charged_cycles", fault.cycle)
             return _Attempt(end=now + cost, cycles=charged + cost,
-                            fault=fault, permanent=not fault.injected)
+                            error=RpcError.wrap(fault, method=full),
+                            permanent=not fault.injected)
         cost = stretch * (ser.stats.cycles + ser.stats.transport_cycles)
         now += cost
         charged += cost
@@ -680,7 +680,7 @@ class ResilientServer:
 
     def _host_serve(self, method, full: str, handler,
                     request_bytes: bytes, arrival: float, now: float,
-                    deadline: float, last_fault, outcome: CallOutcome
+                    deadline: float, last_error, outcome: CallOutcome
                     ) -> CallOutcome:
         if self.policy.host_fallback and now < deadline:
             try:
@@ -708,9 +708,9 @@ class ResilientServer:
             outcome.error = DeadlineExceeded(
                 f"no recovery path fits the remaining budget "
                 f"(deadline at cycle {deadline:.0f})", method=full)
-        elif last_fault is not None:
+        elif last_error is not None:
             outcome.status = "failed"
-            outcome.error = RpcError.wrap(last_fault, method=full)
+            outcome.error = last_error
         else:
             # Every breaker is open (pool bypassed) and the host path is
             # off or does not fit the budget.

@@ -11,8 +11,10 @@ before any shard queue is consulted:
   accelerator cycles, zero shard-queue occupancy, so a tenant at 10x
   its budget cannot crowd a under-budget tenant out of the shard
   queues (``tests/serve/test_fabric_isolation.py``).
-* :class:`TenantAccount` is the live ledger: the in-flight window plus
-  a per-tenant :class:`~repro.serve.server.ServeStats`, which extends
+* :class:`TenantAccount` is the live ledger and the front door: the
+  budget check (:meth:`TenantAccount.shed`), the in-flight window, a
+  count of budget sheds, and a per-tenant
+  :class:`~repro.serve.server.ServeStats`, which extends
   the PR 3 accounting invariant tenant by tenant
   (``shed + failed + succeeded + migrated == offered``).  The
   ``migrated`` bucket counts calls that completed OK away from their
@@ -27,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.proto.descriptor import ServiceDescriptor
-from repro.serve.server import ServeStats
+from repro.serve.errors import TenantOverloaded
+from repro.serve.server import CallOutcome, ServeStats
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,9 @@ class TenantAccount:
     service: ServiceDescriptor
     policy: TenantPolicy = field(default_factory=TenantPolicy)
     stats: ServeStats = field(default_factory=ServeStats)
+    #: Calls shed at this tenant's budget (also counted in
+    #: ``stats.shed``, alongside any shard-level sheds).
+    sheds: int = 0
     #: Termination cycles of admitted calls; an entry > now means that
     #: call is still in flight at cycle ``now``.
     _completions: list[float] = field(default_factory=list)
@@ -59,37 +65,30 @@ class TenantAccount:
         self._completions = [c for c in self._completions if c > now]
         return len(self._completions)
 
-    def admit(self, now: float) -> bool:
-        """Budget check at arrival; does *not* record occupancy yet
-        (the caller notes the completion once the shard prices it)."""
-        return self.inflight(now) < self.policy.max_inflight
-
     def note_completion(self, completed_at: float) -> None:
         self._completions.append(completed_at)
 
-    def fold(self, outcome) -> None:
-        """Fold one terminal :class:`~repro.serve.server.CallOutcome`
-        into this tenant's fabric-level stats."""
-        stats = self.stats
-        stats.offered += 1
-        stats.accel_cycles += outcome.accel_cycles
-        stats.cpu_cycles += outcome.cpu_cycles
-        if outcome.status == "shed":
-            stats.shed += 1
-            return
-        stats.latencies.append(outcome.latency_cycles)
-        if outcome.status == "ok":
-            # A migrated success terminated away from its draining
-            # old-ring home: its own accounting bucket, disjoint from
-            # succeeded, so the resharding identity closes per tenant.
-            if outcome.migrated:
-                stats.migrated += 1
-            else:
-                stats.succeeded += 1
-        elif outcome.status == "expired":
-            stats.expired += 1
-        else:
-            stats.faulted += 1
+    def shed(self, method_name: str, at: float,
+             epoch: int) -> CallOutcome | None:
+        """The front door: the budget check at arrival.  A call past
+        the budget is shed for zero cycles -- counted in ``sheds`` and
+        the ledger -- and its outcome returned; ``None`` admits it
+        without recording occupancy (the shard's serve notes the
+        completion once it prices the call)."""
+        # Validates the method, also for a call the budget admits.
+        full = self.service.full_method_name(method_name)
+        if self.inflight(at) < self.policy.max_inflight:
+            return None
+        outcome = CallOutcome(
+            status="shed", arrival=at, completed_at=at,
+            error=TenantOverloaded(
+                f"tenant {self.tenant!r} at its in-flight budget "
+                f"({self.policy.max_inflight})",
+                method=full, tenant=self.tenant),
+            tenant=self.tenant, ring_epoch=epoch)
+        self.sheds += 1
+        self.stats.record(outcome)
+        return outcome
 
 
 class TenantRegistry:
@@ -116,9 +115,6 @@ class TenantRegistry:
 
     def __iter__(self):
         return iter(self._accounts.values())
-
-    def __len__(self) -> int:
-        return len(self._accounts)
 
     @property
     def tenants(self) -> tuple[str, ...]:

@@ -62,20 +62,24 @@ def echo_schema():
     return parse_schema(SERVING_SCHEMA)
 
 
-def build_echo_server(policy: ServePolicy | None = None,
-                      schema=None) -> ResilientServer:
-    """A ready-to-serve Echo server over ``policy``'s tile pool."""
-    schema = schema or echo_schema()
-    server = ResilientServer(schema.service("Echo"), policy)
-
+def make_echo_handler(schema):
+    """The Echo service's ``Repeat`` handler, building ``schema``'s
+    ``EchoResponse``."""
     def repeat(request):
         response = schema["EchoResponse"].new_message()
         for _ in range(request["repeats"]):
             response["texts"].append(request["text"])
         response["cookie"] = request["cookie"]
         return response
+    return repeat
 
-    server.register("Repeat", repeat)
+
+def build_echo_server(policy: ServePolicy | None = None,
+                      schema=None) -> ResilientServer:
+    """A ready-to-serve Echo server over ``policy``'s tile pool."""
+    schema = schema or echo_schema()
+    server = ResilientServer(schema.service("Echo"), policy)
+    server.register("Repeat", make_echo_handler(schema))
     return server
 
 

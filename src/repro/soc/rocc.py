@@ -72,7 +72,6 @@ class RoccInterface:
     dispatch_cycles_total: int = 0
     _inflight_deser: int = 0
     _inflight_ser: int = 0
-    log: list[RoccInstruction] = field(default_factory=list)
     #: Fault interrupts the accelerator raised to the core (Section 4.3's
     #: interrupt line carries arena exhaustion and unit faults alike).
     faults_raised: int = 0
@@ -90,7 +89,6 @@ class RoccInterface:
         self.instructions_issued += 1
         self.dispatch_cycles_total += self.dispatch_cycles_each
         self._uncollected += self.dispatch_cycles_each
-        self.log.append(instruction)
         if instruction.funct is RoccFunct.DO_PROTO_DESER:
             self._inflight_deser += 1
         elif instruction.funct is RoccFunct.DO_PROTO_SER:

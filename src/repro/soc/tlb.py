@@ -89,6 +89,3 @@ class Tlb:
             _, cost = self.translate(vpn * PAGE_BYTES)
             penalty += cost
         return penalty
-
-    def flush(self) -> None:
-        self._map.clear()

@@ -6,8 +6,13 @@ per-operation tier choice under a fault plan (the bindings stay
 installed, an operation with a fault armed runs the interpretive FSM so
 its injection site still fires, and an unarmed one runs the kernel),
 and lazy compilation: a type's function compiles only once a message
-reaches it, and every function either generator emits compiles.
+reaches it, and every function either generator emits compiles.  The
+reachable-type walk behind the fingerprint and both kernel generators
+leaves no reference cycle behind.
 """
+
+import gc
+from collections import Counter
 
 import pytest
 
@@ -20,7 +25,12 @@ from repro.memory.timing import MemoryTimingModel
 from repro.proto import parse_schema
 from repro.proto.decoder import parse_message
 from repro.proto import specialized
-from repro.proto.descriptor import FieldDescriptor, MessageDescriptor
+from repro.proto.descriptor import (
+    FieldDescriptor,
+    MessageDescriptor,
+    reachable_types,
+    structural_fingerprint,
+)
 from repro.proto.lazy import Stub
 from repro.soc.config import SoCConfig
 from repro.soc.pcie import PcieParams
@@ -235,10 +245,50 @@ def _round_trip(device, schema, message):
             ser.stats, ser.data)
 
 
+_WALK_SCHEMA = """
+    syntax = "proto2";
+    message WalkTree {
+      optional int32 v = 1;
+      repeated WalkTree kids = 2;
+      optional WalkLeaf leaf = 3;
+    }
+    message WalkLeaf {
+      optional string s = 1;
+      optional WalkTree back = 2;
+    }
+"""
+
+
+def test_type_walks_leave_no_reference_cycles():
+    """Fingerprinting a recursive schema and generating its kernels (both
+    accelerator kernels and the CPU one) leaves nothing for the garbage
+    collector: no recursive closure's function <-> cell cycle."""
+    device = ProtoAccelerator()
+    root = parse_schema(_WALK_SCHEMA)["WalkTree"]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        structural_fingerprint(root)
+        assert codegen.compiled_kernel(
+            "deser", root, device.deserializer.schedule) is not None
+        assert codegen.compiled_kernel(
+            "ser", root, device.serializer.schedule) is not None
+        assert specialized.parser_for(root) is not None
+        gc.collect()
+        kinds = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert kinds["function"] == 0, kinds
+    assert kinds["cell"] == 0, kinds
+
+
 def test_kernel_compiles_a_type_only_once_a_message_reaches_it():
     schema = parse_schema(_LAZY_SCHEMA)
     root = schema["Holder"]
-    order = codegen._type_order(root)[0]
+    order = reachable_types(root)[0]
     spare = order[id(schema["Spare"])]
     leaf = order[id(schema["Leaf"])]
     device = ProtoAccelerator(deser_arena_bytes=1 << 20,

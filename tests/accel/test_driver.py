@@ -9,7 +9,7 @@ from repro.accel.driver import ProtoAccelerator
 from repro.faults import FaultPlan
 from repro.proto import parse_schema
 from repro.soc.config import SoCConfig
-from repro.soc.rocc import RoccFunct
+from repro.soc.rocc import RoccFunct, RoccInterface
 
 
 @pytest.fixture()
@@ -19,40 +19,51 @@ def schema():
     """)
 
 
+@pytest.fixture()
+def functs(monkeypatch):
+    """The funct of every RoCC instruction issued during the test, in
+    issue order (construction-time arena assignments included)."""
+    issued = []
+    issue = RoccInterface.issue
+
+    def recording_issue(self, instruction):
+        issued.append(instruction.funct)
+        issue(self, instruction)
+
+    monkeypatch.setattr(RoccInterface, "issue", recording_issue)
+    return issued
+
+
 class TestRoccProtocol:
-    def test_arena_assignment_on_construction(self, schema):
-        accel = ProtoAccelerator()
-        functs = [inst.funct for inst in accel.transport.log]
+    def test_arena_assignment_on_construction(self, functs):
+        ProtoAccelerator()
         assert RoccFunct.DESER_ASSIGN_ARENA in functs
         assert RoccFunct.SER_ASSIGN_ARENA in functs
 
-    def test_deser_issues_info_then_do(self, schema):
+    def test_deser_issues_info_then_do(self, schema, functs):
         accel = ProtoAccelerator()
         accel.register_schema(schema)
         m = schema["M"].new_message()
         m["x"] = 1
         accel.deserialize(schema["M"], m.serialize())
-        functs = [inst.funct for inst in accel.transport.log]
         info = functs.index(RoccFunct.DESER_INFO)
         assert functs[info + 1] is RoccFunct.DO_PROTO_DESER
 
-    def test_batch_ends_with_completion_fence(self, schema):
+    def test_batch_ends_with_completion_fence(self, schema, functs):
         accel = ProtoAccelerator()
         accel.register_schema(schema)
         m = schema["M"].new_message()
         m["x"] = 1
         accel.deserialize_batch(schema["M"], [m.serialize()] * 3)
-        assert accel.transport.log[-1].funct is \
-            RoccFunct.BLOCK_FOR_DESER_COMPLETION
+        assert functs[-1] is RoccFunct.BLOCK_FOR_DESER_COMPLETION
         assert accel.transport.inflight_deserializations == 0
 
-    def test_ser_instruction_order(self, schema):
+    def test_ser_instruction_order(self, schema, functs):
         accel = ProtoAccelerator()
         accel.register_schema(schema)
         m = schema["M"].new_message()
         m["x"] = 1
         accel.serialize(schema["M"], accel.load_object(m))
-        functs = [inst.funct for inst in accel.transport.log]
         info = functs.index(RoccFunct.SER_INFO)
         assert functs[info + 1] is RoccFunct.DO_PROTO_SER
 

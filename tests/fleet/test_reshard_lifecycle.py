@@ -89,7 +89,7 @@ def test_drain_swaps_ring_and_walks_the_lifecycle():
     fabric = _build_fabric(shards=2,
                            reshard=ReshardPolicy(drain_cycles=10_000.0))
     victim = fabric.shards[1]
-    fabric.controller.drain(1, now=100.0)
+    fabric.drain(1, now=100.0)
 
     assert victim.state is ShardState.DRAINING
     assert fabric.ring_epoch == 1
@@ -104,9 +104,9 @@ def test_drain_swaps_ring_and_walks_the_lifecycle():
         assert outcome.ring_epoch == 1
 
     # The drain finalizes once the window elapsed and pending hit zero.
-    fabric.controller.tick(now=9_000.0)
+    fabric.tick(now=9_000.0)
     assert victim.state is ShardState.DRAINING
-    fabric.controller.tick(now=100.0 + 10_000.0 + 1.0)
+    fabric.tick(now=100.0 + 10_000.0 + 1.0)
     assert victim.state is ShardState.REMOVED
 
     kinds = [e.kind for e in fabric.reshard_events]
@@ -119,7 +119,7 @@ def test_drain_swaps_ring_and_walks_the_lifecycle():
 
 def test_drain_barrier_refuses_new_work_with_structured_error():
     fabric = _build_fabric(shards=2)
-    fabric.controller.drain(1, now=0.0)
+    fabric.drain(1, now=0.0)
     # Bypassing the router hits the barrier: a zero-cycle structured
     # refusal, never a silent drop.
     outcome = fabric.shards[1].server.call(
@@ -132,13 +132,13 @@ def test_drain_barrier_refuses_new_work_with_structured_error():
 
 def test_cannot_drain_last_routable_shard():
     fabric = _build_fabric(shards=2)
-    fabric.controller.drain(1, now=0.0)
+    fabric.drain(1, now=0.0)
     with pytest.raises(ValueError, match="last routable"):
-        fabric.controller.drain(0, now=10.0)
+        fabric.drain(0, now=10.0)
     with pytest.raises(ValueError, match="state"):
-        fabric.controller.drain(1, now=10.0)  # already draining
+        fabric.drain(1, now=10.0)  # already draining
     with pytest.raises(ValueError, match="no shard"):
-        fabric.controller.drain(9, now=10.0)
+        fabric.drain(9, now=10.0)
 
 
 def test_no_call_is_both_migrated_and_charged_to_the_old_shard():
@@ -149,7 +149,7 @@ def test_no_call_is_both_migrated_and_charged_to_the_old_shard():
     drained = 1
     victims = [t for t in _TENANTS if fabric.route(t) == drained]
     assert victims, "expected at least one tenant homed on shard 1"
-    fabric.controller.drain(drained, now=0.0)
+    fabric.drain(drained, now=0.0)
 
     outcomes = []
     for i in range(64):
@@ -184,7 +184,7 @@ def test_add_shard_warms_up_then_activates():
         shards=2, reshard=ReshardPolicy(warmup_cycles=10_000.0,
                                         warmup_initial_inflight=1,
                                         warmup_target_inflight=9))
-    index = fabric.controller.add_shard(now=1_000.0)
+    index = fabric.add_shard(now=1_000.0)
     joiner = fabric.shards[index]
     assert index == 2
     assert joiner.state is ShardState.JOINING
@@ -192,13 +192,13 @@ def test_add_shard_warms_up_then_activates():
     assert fabric.router.shard_ids == (0, 1, 2)
 
     # The admission budget ramps linearly over the warm-up window.
-    budget = fabric.controller.warm_budget
+    budget = fabric.warm_budget
     assert budget(joiner, 1_000.0) == 1
     assert budget(joiner, 6_000.0) == 5
     assert budget(joiner, 11_000.0) == 9
     assert budget(joiner, 50_000.0) == 9
 
-    fabric.controller.tick(now=11_500.0)
+    fabric.tick(now=11_500.0)
     assert joiner.state is ShardState.ACTIVE
     kinds = [e.kind for e in fabric.reshard_events]
     assert kinds == ["shard_joined", "warmup_complete"]
@@ -207,7 +207,7 @@ def test_add_shard_warms_up_then_activates():
 def test_joiner_serves_remapped_tenants():
     fabric = _build_fabric(shards=2)
     before = fabric.routing_table()
-    index = fabric.controller.add_shard(now=0.0)
+    index = fabric.add_shard(now=0.0)
     after = fabric.routing_table()
     remapped = [t for t in _TENANTS if after[t] != before[t]]
     assert remapped, "expected the new shard to take some tenants"
@@ -225,7 +225,7 @@ def test_warmup_overflow_deflects_to_fallback():
         shards=2, reshard=ReshardPolicy(warmup_cycles=1e9,
                                         warmup_initial_inflight=1,
                                         warmup_target_inflight=1))
-    index = fabric.controller.add_shard(now=0.0)
+    index = fabric.add_shard(now=0.0)
     remapped = [t for t in _TENANTS
                 if fabric.route(t) == index]
     assert remapped
@@ -245,7 +245,7 @@ def test_warmup_overflow_deflects_to_fallback():
 def test_zero_warmup_join_is_immediately_active():
     fabric = _build_fabric(
         shards=2, reshard=ReshardPolicy(warmup_cycles=0.0))
-    index = fabric.controller.add_shard(now=5.0)
+    index = fabric.add_shard(now=5.0)
     assert fabric.shards[index].state is ShardState.ACTIVE
     assert [e.kind for e in fabric.reshard_events] == ["shard_joined"]
 
@@ -307,20 +307,20 @@ def test_persistently_quarantined_shard_is_auto_evicted():
 
     # First tick starts the quarantine clock; before the threshold the
     # shard is still in the fleet.
-    fabric.controller.tick(now=100.0)
-    fabric.controller.tick(now=20_000.0)
+    fabric.tick(now=100.0)
+    fabric.tick(now=20_000.0)
     assert sick.state is ShardState.ACTIVE
 
     # Keep the breakers freshly tripped so no probe window opens while
     # the quarantine clock runs past the threshold.
     _trip_all_tiles(sick, at=25_000.0)
-    fabric.controller.tick(now=31_000.0)
+    fabric.tick(now=31_000.0)
     assert sick.state is ShardState.DRAINING
     assert fabric.ring_epoch == 1
     kinds = [e.kind for e in fabric.reshard_events]
     assert kinds == ["auto_evict", "drain_start"]
 
-    fabric.controller.tick(now=80_000.0)
+    fabric.tick(now=80_000.0)
     assert sick.state is ShardState.REMOVED
 
 
@@ -328,22 +328,22 @@ def test_healthy_fleet_never_auto_evicts():
     fabric = _build_fabric(
         shards=2, reshard=ReshardPolicy(auto_evict_after_cycles=1_000.0))
     for now in (0.0, 5_000.0, 50_000.0, 500_000.0):
-        fabric.controller.tick(now)
+        fabric.tick(now)
     assert all(s.state is ShardState.ACTIVE for s in fabric.shards)
     assert fabric.reshard_events == []
 
 
 def test_dropped_fabric_is_freed_by_reference_counting():
-    """The controller does not keep its fabric alive: a dropped fabric,
-    with its shards' devices and their simulated DRAM, is freed at once,
-    not at the next garbage collection -- also after a reshard."""
+    """Nothing in the fabric refers back to it: a dropped fabric, with
+    its shards' devices and their simulated DRAM, is freed at once, not
+    at the next garbage collection -- also after a reshard."""
     gc.disable()
     try:
         fabric = _build_fabric(shards=2)
         for cookie, tenant in enumerate(_TENANTS):
             fabric.call(tenant, "Repeat", _request_bytes(_SCHEMA, cookie),
                         at=cookie * 1_000.0)
-        fabric.controller.add_shard(now=10_000.0)
+        fabric.add_shard(now=10_000.0)
         memory = weakref.ref(fabric.shards[0].server.tiles[0].accel.memory)
         del fabric
         assert memory() is None

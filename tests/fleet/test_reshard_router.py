@@ -6,10 +6,9 @@
 * **Growth stability** -- adding a shard moves tenants only *onto* the
   new shard, never between surviving shards (the mirror image of the
   removal-stability property in ``tests/serve/test_router.py``).
-* **Structured validation** -- the vnode count is a policy knob
-  validated at construction with a :class:`FabricConfigError` naming
-  the knob, reachable both directly and through the fabric-level
-  ``FabricPolicy.vnodes`` override.
+* **Structured validation** -- the vnode count and the fabric's shard
+  count are policy knobs validated at construction with a
+  :class:`FabricConfigError` naming the knob.
 * **Probe-ready tiering** -- a fully-quarantined shard whose breaker
   cool-down elapsed ranks as tier 1 (its next offload is the half-open
   probe), which is what closes the double-quarantine fallback hole.
@@ -76,29 +75,12 @@ def test_vnodes_must_be_positive():
         RouterPolicy(vnodes=-3)
 
 
-def test_fabric_vnodes_override():
-    policy = FabricPolicy(shards=2, vnodes=7)
-    assert policy.router.vnodes == 7
+def test_fabric_needs_a_shard():
     with pytest.raises(FabricConfigError) as exc:
-        FabricPolicy(shards=2, vnodes=0)
-    assert exc.value.knob == "vnodes"
-    # FabricConfigError stays a ValueError for pre-existing call sites.
-    with pytest.raises(ValueError):
         FabricPolicy(shards=0)
-
-
-@given(vnodes=st.integers(min_value=1, max_value=32),
-       tenants=_TENANTS, shards=_SHARD_COUNTS)
-@settings(max_examples=50)
-def test_fabric_vnodes_override_routes_like_router_policy(vnodes,
-                                                          tenants,
-                                                          shards):
-    override = FabricPolicy(shards=shards, vnodes=vnodes)
-    direct = ConsistentHashRouter(
-        list(range(shards)), RouterPolicy(vnodes=vnodes))
-    assert ConsistentHashRouter(
-        list(range(shards)), override.router).table(tenants) \
-        == direct.table(tenants)
+    assert exc.value.knob == "shards"
+    # FabricConfigError stays a ValueError for pre-existing call sites.
+    assert isinstance(exc.value, ValueError)
 
 
 def _view(index, states, load=0.0, probe_ready=()):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.proto import parse_schema, specialized
 from repro.proto.decoder import parse_message
+from repro.proto.descriptor import reachable_types
 from repro.proto.encoder import serialize_message
 from repro.proto.lazy import Stub
 from repro.proto.trace import Trace
@@ -66,7 +67,7 @@ _LAZY_SCHEMA = """
 def test_kernels_compile_a_type_only_once_a_message_reaches_it():
     schema = parse_schema(_LAZY_SCHEMA)
     root = schema["Holder"]
-    order = specialized._type_order(root)[0]
+    order = reachable_types(root)[0]
     spare = order[id(schema["Spare"])]
     leaf = order[id(schema["Leaf"])]
     namespace = specialized.parser_for(root).__globals__

@@ -44,7 +44,8 @@ def roundtrip(value):
                 fault_plan=FaultPlan(seed=7, rate=0.01)),
     REPLAY_SERVE_POLICY,
     FaultPlan(seed=42, rate=0.25, sites=("deser.hang",)),
-    FabricPolicy(shards=4, serve=REPLAY_SERVE_POLICY, vnodes=16),
+    FabricPolicy(shards=4, serve=REPLAY_SERVE_POLICY,
+                 router=RouterPolicy(vnodes=16)),
     RouterPolicy(vnodes=32, seed=9),
     TenantPolicy(max_inflight=3),
     ReshardPolicy(drain_cycles=10.0, auto_evict_after_cycles=5.0),
@@ -78,8 +79,8 @@ def test_getstate_skips_validation_rerun():
     # Frozen policy dataclasses validate in __post_init__; unpickling
     # restores state directly (default __reduce_ex__), so a pickled
     # valid policy must come back equal without re-running validation
-    # side effects (FabricPolicy's vnodes override must not re-apply).
-    policy = FabricPolicy(shards=2, vnodes=8)
+    # side effects.
+    policy = FabricPolicy(shards=2, router=RouterPolicy(vnodes=8))
     clone = roundtrip(policy)
     assert clone.router.vnodes == 8
     assert clone == policy
