@@ -293,9 +293,4 @@ def compile_schema(schema: Schema,
     module.__dict__["_SCHEMA"] = schema
     exec(compile(source, f"<{module_name}>", "exec"), module.__dict__)
     module.__dict__["__source__"] = source
-    # Pre-compile the specialized parse/serialize kernels for every type
-    # so the generated classes hit warm kernels on first use (protoc
-    # emits its fast parsers at compile time, not first call).
-    from repro.proto.specialized import warm
-    warm(schema)
     return module

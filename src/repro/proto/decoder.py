@@ -5,8 +5,10 @@ bytes (deserialization is inherently serial -- Section 2.2), decoding one
 key at a time, dispatching on wire type, allocating strings/sub-messages/
 repeated elements as they are encountered, and skipping unknown fields.
 
-Pass a :class:`~repro.proto.trace.Trace` to record the primitive-operation
-event stream consumed by the CPU cost models.
+This is the library's one parse path: with or without a
+:class:`~repro.proto.trace.Trace` attached, a parse runs the same loop,
+and a trace records the primitive-operation event stream consumed by
+the CPU cost models.
 """
 
 from __future__ import annotations
@@ -162,71 +164,57 @@ def _decode_packed(message: Message, fd: FieldDescriptor, data: bytes,
     return end
 
 
-def _parse_one_field(message: Message, data: bytes, pos: int, end: int,
-                     trace: Optional[Trace], arena,
-                     keep_unknown: bool = False) -> int:
-    """Parse one field (tag onward) at ``pos``; returns the new offset.
-
-    Shared between the interpretive loop below and the specialized
-    kernels' rare-path fallback (:mod:`repro.proto.specialized`), so
-    unknown fields, wire-type mismatches, and malformed keys behave
-    identically on both tiers.
-    """
-    descriptor = message.descriptor
-    field_number, wire_type, consumed = decode_tag(data, pos)
-    pos += consumed
-    if trace is not None:
-        trace.emit(Op.TAG_DECODE, consumed)
-        trace.emit(Op.FIELD_DISPATCH)
-    fd = descriptor.field_by_number(field_number)
-    if fd is None:
-        value_start = pos
-        pos = skip_field(data, pos, wire_type)
-        if keep_unknown:
-            # proto2 parsers preserve unrecognised fields so they
-            # survive a parse/serialize round trip (schema evolution
-            # for intermediaries).
-            message._unknown.append(
-                (field_number, int(wire_type),
-                 bytes(data[value_start:pos])))
-        return pos
-    if fd.is_repeated:
-        if (wire_type is WireType.LENGTH_DELIMITED
-                and fd.wire_type is not WireType.LENGTH_DELIMITED):
-            # Packed encoding of a numeric repeated field.  proto2
-            # parsers must accept both encodings regardless of the
-            # declared option.
-            return _decode_packed(message, fd, data, pos, trace, arena,
-                                  keep_unknown)
-        if trace is not None and not message.has(fd.name):
-            # First element of an unpacked repeated field: the parser
-            # allocates the vector's initial backing array.
-            trace.emit(Op.ALLOC, 64)
-        value, pos = _decode_scalar(fd, data, pos, wire_type, trace,
-                                    arena, keep_unknown)
-        message[fd.name].append(value)
-        message._hasbits.add(fd.number)
-        return pos
-    value, pos = _decode_scalar(fd, data, pos, wire_type, trace, arena,
-                                keep_unknown)
-    if (fd.field_type is FieldType.MESSAGE
-            and message.has(fd.name)):
-        # proto2 merge semantics for a repeated occurrence of a
-        # singular sub-message field.
-        message[fd.name].merge_from(value)
-    else:
-        message[fd.name] = value
-    return pos
-
-
 def _parse_into(message: Message, data: bytes, offset: int, end: int,
                 trace: Optional[Trace], arena,
                 keep_unknown: bool = False) -> None:
     """Parse wire bytes in [offset, end) into ``message`` (merge semantics)."""
+    descriptor = message.descriptor
     pos = offset
     while pos < end:
-        pos = _parse_one_field(message, data, pos, end, trace, arena,
-                               keep_unknown)
+        field_number, wire_type, consumed = decode_tag(data, pos)
+        pos += consumed
+        if trace is not None:
+            trace.emit(Op.TAG_DECODE, consumed)
+            trace.emit(Op.FIELD_DISPATCH)
+        fd = descriptor.field_by_number(field_number)
+        if fd is None:
+            value_start = pos
+            pos = skip_field(data, pos, wire_type)
+            if keep_unknown:
+                # proto2 parsers preserve unrecognised fields so they
+                # survive a parse/serialize round trip (schema evolution
+                # for intermediaries).
+                message._unknown.append(
+                    (field_number, int(wire_type),
+                     bytes(data[value_start:pos])))
+            continue
+        if fd.is_repeated:
+            if (wire_type is WireType.LENGTH_DELIMITED
+                    and fd.wire_type is not WireType.LENGTH_DELIMITED):
+                # Packed encoding of a numeric repeated field.  proto2
+                # parsers must accept both encodings regardless of the
+                # declared option.
+                pos = _decode_packed(message, fd, data, pos, trace, arena,
+                                     keep_unknown)
+                continue
+            if trace is not None and not message.has(fd.name):
+                # First element of an unpacked repeated field: the parser
+                # allocates the vector's initial backing array.
+                trace.emit(Op.ALLOC, 64)
+            value, pos = _decode_scalar(fd, data, pos, wire_type, trace,
+                                        arena, keep_unknown)
+            message[fd.name].append(value)
+            message._hasbits.add(fd.number)
+            continue
+        value, pos = _decode_scalar(fd, data, pos, wire_type, trace, arena,
+                                    keep_unknown)
+        if (fd.field_type is FieldType.MESSAGE
+                and message.has(fd.name)):
+            # proto2 merge semantics for a repeated occurrence of a
+            # singular sub-message field.
+            message[fd.name].merge_from(value)
+        else:
+            message[fd.name] = value
     if pos != end:
         raise DecodeError("message payload overran its length")
 
@@ -248,20 +236,8 @@ def parse_message(descriptor: MessageDescriptor, data: bytes,
     string/bytes *values* are materialised, once each).
     """
     message = Message(descriptor, arena=arena)
-    kernel = None
-    if trace is None:
-        # Specialized codegen tier: a per-descriptor compiled parse loop
-        # with the tag switch unrolled (see repro.proto.specialized).
-        # Traced runs always take the interpretive path so the CPU cost
-        # models see the canonical event stream.
-        from repro.proto.specialized import parser_for
-        kernel = parser_for(descriptor)
-    view = memoryview(data)
-    if kernel is not None:
-        kernel(message, view, 0, len(data), arena, keep_unknown)
-    else:
-        _parse_into(message, view, 0, len(data), trace, arena,
-                    keep_unknown=keep_unknown)
+    _parse_into(message, memoryview(data), 0, len(data), trace, arena,
+                keep_unknown=keep_unknown)
     if check_required:
         try:
             message.check_initialized()
@@ -274,12 +250,5 @@ def merge_from_wire(message: Message, data: bytes,
                     trace: Optional[Trace] = None,
                     keep_unknown: bool = False) -> None:
     """Parse ``data`` and merge into an existing ``message`` in place."""
-    if trace is None:
-        from repro.proto.specialized import parser_for
-        kernel = parser_for(message.descriptor)
-        if kernel is not None:
-            kernel(message, memoryview(data), 0, len(data), message.arena,
-                   keep_unknown)
-            return
     _parse_into(message, memoryview(data), 0, len(data), trace,
                 message.arena, keep_unknown=keep_unknown)

@@ -192,7 +192,6 @@ class MessageDescriptor:
             groups.setdefault(fd.oneof_group, []).append(fd.number)
         self.oneof_groups = {group: tuple(numbers)
                              for group, numbers in groups.items()}
-        self._schema: Optional["Schema"] = None
 
     def __repr__(self) -> str:
         return f"MessageDescriptor({self.full_name!r}, {len(self.fields)} fields)"
@@ -398,7 +397,6 @@ class Schema:
     def add_message(self, descriptor: MessageDescriptor) -> None:
         if descriptor.name in self._messages:
             raise SchemaError(f"duplicate message type {descriptor.name}")
-        descriptor._schema = self
         self._messages[descriptor.name] = descriptor
 
     def add_enum(self, descriptor: EnumDescriptor) -> None:

@@ -7,8 +7,10 @@ The accelerator's serializer must produce byte-identical output despite
 iterating in *reverse* order (Section 4.5.1); our test suite pins that
 equivalence.
 
-Pass a :class:`~repro.proto.trace.Trace` to record the primitive-operation
-event stream consumed by the CPU cost models.
+This is the library's one serialize path: with or without a
+:class:`~repro.proto.trace.Trace` attached, a serialize runs the same
+passes, and a trace records the primitive-operation event stream
+consumed by the CPU cost models.
 """
 
 from __future__ import annotations
@@ -204,15 +206,6 @@ def serialize_message(message: Message, trace: Optional[Trace] = None,
     """
     if check_required:
         message.check_initialized()
-    if trace is None:
-        # Specialized codegen tier: per-descriptor compiled ByteSize +
-        # encode passes with sub-message sizes computed once (see
-        # repro.proto.specialized).  Traced runs stay interpretive so
-        # the CPU cost models see the canonical event stream.
-        from repro.proto.specialized import encoder_for
-        kernel = encoder_for(message.descriptor)
-        if kernel is not None:
-            return kernel(message)
     expected = byte_size(message, trace)
     out = bytearray()
     _encode_message(out, message, trace)

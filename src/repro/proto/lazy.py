@@ -1,9 +1,8 @@
 """Compile generated kernel functions on first call.
 
-Both kernel tiers -- the accelerator's codegen kernels
-(:mod:`repro.accel.codegen`) and the CPU library's specialized kernels
-(:mod:`repro.proto.specialized`) -- emit one Python function per
-message type reachable from a root.  A message usually reaches only
+The accelerator's codegen kernels (:mod:`repro.accel.codegen`), the
+only user of this module, emit one Python function per message type
+reachable from a root.  A message usually reaches only
 some of those types, so compiling the whole graph up front spends most
 of its time on code that never runs.  :func:`install` compiles only the
 functions callers hold references to; every other function starts as a

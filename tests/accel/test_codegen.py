@@ -24,7 +24,6 @@ from repro.faults import FaultPlan, FaultSite
 from repro.memory.timing import MemoryTimingModel
 from repro.proto import parse_schema
 from repro.proto.decoder import parse_message
-from repro.proto import specialized
 from repro.proto.descriptor import (
     FieldDescriptor,
     MessageDescriptor,
@@ -260,9 +259,9 @@ _WALK_SCHEMA = """
 
 
 def test_type_walks_leave_no_reference_cycles():
-    """Fingerprinting a recursive schema and generating its kernels (both
-    accelerator kernels and the CPU one) leaves nothing for the garbage
-    collector: no recursive closure's function <-> cell cycle."""
+    """Fingerprinting a recursive schema and generating both accelerator
+    kernels leaves nothing for the garbage collector: no recursive
+    closure's function <-> cell cycle."""
     device = ProtoAccelerator()
     root = parse_schema(_WALK_SCHEMA)["WalkTree"]
     gc.collect()
@@ -274,7 +273,6 @@ def test_type_walks_leave_no_reference_cycles():
             "deser", root, device.deserializer.schedule) is not None
         assert codegen.compiled_kernel(
             "ser", root, device.serializer.schedule) is not None
-        assert specialized.parser_for(root) is not None
         gc.collect()
         kinds = Counter(type(o).__name__ for o in gc.garbage)
     finally:
@@ -348,15 +346,13 @@ def _guard_roots():
 @pytest.mark.parametrize("root", _guard_roots())
 def test_every_generated_function_compiles(root):
     """Compiling only reached types would leave an emitter bug in a type
-    no test message reaches unseen, so compile every chunk of both tiers'
+    no test message reaches unseen, so compile every chunk of both
     generators here, each of which must define exactly its own name."""
     device = ProtoAccelerator()
     chunk_lists = {
         "deser": codegen._gen_deser_source(
             root, device.deserializer.schedule)[0],
         "ser": codegen._gen_ser_source(root, device.serializer.schedule)[0],
-        "parse": specialized._gen_parse_source(root),
-        "encode": specialized._gen_encode_source(root),
     }
     for kind, chunks in chunk_lists.items():
         names = [name for name, _ in chunks]
