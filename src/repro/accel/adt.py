@@ -197,6 +197,9 @@ class AdtBuilder:
         self.layouts = layout_cache
         self._addresses: dict[int, int] = {}
         self._descriptors: dict[int, MessageDescriptor] = {}
+        #: End of the highest ADT block (0 before the first build); a
+        #: heap release below it would re-issue live ADT memory.
+        self.top = 0
 
     def adt_address(self, descriptor: MessageDescriptor) -> int:
         try:
@@ -215,6 +218,9 @@ class AdtBuilder:
 
         Two-pass so mutually recursive message types resolve: first
         allocate every block, then fill entries with final pointers.
+        Only blocks allocated by this call are written: a type built
+        earlier was built with its whole reachable closure, so its
+        block is final and re-registering writes nothing.
         """
         worklist = list(descriptors)
         ordered: list[MessageDescriptor] = []
@@ -228,14 +234,14 @@ class AdtBuilder:
             for fd in descriptor.fields:
                 if fd.message_type is not None:
                     worklist.append(fd.message_type)
-        for descriptor in ordered:
-            if id(descriptor) in self._addresses:
-                continue
-            addr = self.memory.allocate(adt_size_bytes(descriptor),
-                                        alignment=64)
+        fresh = [d for d in ordered if id(d) not in self._addresses]
+        for descriptor in fresh:
+            size = adt_size_bytes(descriptor)
+            addr = self.memory.allocate(size, alignment=64)
             self._addresses[id(descriptor)] = addr
             self._descriptors[addr] = descriptor
-        for descriptor in ordered:
+            self.top = addr + size
+        for descriptor in fresh:
             self._populate(descriptor)
         return {d.full_name: self._addresses[id(d)] for d in ordered}
 
@@ -275,26 +281,19 @@ class AdtView:
 
     The accelerator units only ever touch ADTs through this view, which
     reads simulated memory (never Python descriptors) -- keeping the
-    hardware model honest about what information it has.  Because an ADT
-    block is immutable once built, decodes are memoised on the memory's
-    decode cache (flushed should anything ever write over the block);
-    the hardware ADT-entry cache's hit/miss *cycle* accounting is
-    modelled separately by the units.
+    hardware model honest about what information it has.  Every decode
+    reads the block afresh; the hardware ADT-entry cache's hit/miss
+    *cycle* accounting is modelled separately by the units.
     """
 
     def __init__(self, memory: SimMemory, addr: int):
         self.memory = memory
         self.addr = addr
-        header = memory.decode_cache_get(("adt-h", addr))
-        if header is None:
-            header = (memory.read_u64(addr), memory.read_u64(addr + 8),
-                      memory.read_u64(addr + 16),
-                      memory.read_u32(addr + 24),
-                      memory.read_u32(addr + 28))
-            memory.decode_cache_put(("adt-h", addr), addr,
-                                    ADT_HEADER_BYTES, header)
-        (self._vptr, self._object_size, self._hasbits_offset,
-         self._min_field, self._max_field) = header
+        self._vptr = memory.read_u64(addr)
+        self._object_size = memory.read_u64(addr + 8)
+        self._hasbits_offset = memory.read_u64(addr + 16)
+        self._min_field = memory.read_u32(addr + 24)
+        self._max_field = memory.read_u32(addr + 28)
 
     @property
     def default_vptr(self) -> int:
@@ -337,30 +336,23 @@ class AdtView:
         entry_addr = self.entry_address(field_number)
         if entry_addr is None:
             return None
-        cached = self.memory.decode_cache_get(("adt-e", entry_addr))
-        if cached is not None:
-            return cached
         raw = self.memory.read(entry_addr, ADT_ENTRY_BYTES)
         type_code = raw[0]
         if type_code == UNDEFINED_TYPE_CODE:
-            entry = AdtEntry(False, None, False, False, False, False, 0, 0)
-        else:
-            flags = raw[1]
-            entry = AdtEntry(
-                defined=True,
-                field_type=_TYPES_BY_CODE[type_code],
-                repeated=bool(flags & FLAG_REPEATED),
-                packed=bool(flags & FLAG_PACKED),
-                zigzag=bool(flags & FLAG_ZIGZAG),
-                is_message=bool(flags & FLAG_MESSAGE),
-                field_offset=int.from_bytes(raw[4:8], "little"),
-                sub_adt_ptr=int.from_bytes(raw[8:16], "little"),
-                utf8_validate=bool(flags & FLAG_UTF8),
-                oneof_group=int.from_bytes(raw[2:4], "little"),
-            )
-        self.memory.decode_cache_put(
-            ("adt-e", entry_addr), entry_addr, ADT_ENTRY_BYTES, entry)
-        return entry
+            return AdtEntry(False, None, False, False, False, False, 0, 0)
+        flags = raw[1]
+        return AdtEntry(
+            defined=True,
+            field_type=_TYPES_BY_CODE[type_code],
+            repeated=bool(flags & FLAG_REPEATED),
+            packed=bool(flags & FLAG_PACKED),
+            zigzag=bool(flags & FLAG_ZIGZAG),
+            is_message=bool(flags & FLAG_MESSAGE),
+            field_offset=int.from_bytes(raw[4:8], "little"),
+            sub_adt_ptr=int.from_bytes(raw[8:16], "little"),
+            utf8_validate=bool(flags & FLAG_UTF8),
+            oneof_group=int.from_bytes(raw[2:4], "little"),
+        )
 
     def oneof_mask(self, group_id: int) -> tuple[int, int]:
         """(hasbits word index, sibling mask) for a 1-based group id."""
@@ -378,9 +370,5 @@ class AdtView:
         index = field_number - self.min_field_number
         word_addr = (self.addr + ADT_HEADER_BYTES
                      + self.span * ADT_ENTRY_BYTES + index // 64 * 8)
-        word = self.memory.decode_cache_get(("adt-b", word_addr))
-        if word is None:
-            word = self.memory.read_u64(word_addr)
-            self.memory.decode_cache_put(
-                ("adt-b", word_addr), word_addr, 8, word)
+        word = self.memory.read_u64(word_addr)
         return bool(word >> index % 64 & 1)

@@ -110,10 +110,8 @@ _STRINGISH = frozenset({FieldType.STRING, FieldType.BYTES})
 
 
 #: Compiled kernel namespaces, keyed by ``(kind, fingerprint, schedule)``.
-#: Values are ``(namespace, spec)``, or ``None`` for schemas the generator
-#: declined (the negative result is memoised too, so the interpreter
-#: fallback stays cheap).  Sized so that the paper figures' 80 kernels
-#: (41 schemas under two schedules) all stay resident.
+#: Values are ``(namespace, spec)``.  Sized so that the paper figures' 80
+#: kernels (41 schemas under two schedules) all stay resident.
 CODE_CACHE = Memo("codegen", 128)
 
 
@@ -951,24 +949,19 @@ def _namespace(spec: list[dict]) -> dict:
 def compiled_kernel(kind: str, descriptor: MessageDescriptor, schedule):
     """Fetch (or generate) the compiled kernel for a schema/schedule pair.
 
-    Returns ``(namespace, spec)`` or ``None`` when generation failed
-    (the negative result is cached; callers fall back to the
-    interpreter)."""
+    Returns ``(namespace, spec)``.  A generator error propagates; it is
+    never turned into a silent interpreter run."""
     fingerprint = structural_fingerprint(descriptor)
     key = (kind, fingerprint, schedule)
     value = CODE_CACHE.get(key)
     if value is not MISS:
         return value
-    try:
-        chunks, spec = _GENERATORS[kind](descriptor, schedule)
-        namespace = install(
-            chunks, _namespace(spec),
-            f"<codegen:{kind}:{descriptor.full_name}:{fingerprint[:12]}>",
-            _EAGER)
-        value = (namespace, spec)
-    except Exception:
-        # Any schema the generator cannot express runs interpreted.
-        value = None
+    chunks, spec = _GENERATORS[kind](descriptor, schedule)
+    namespace = install(
+        chunks, _namespace(spec),
+        f"<codegen:{kind}:{descriptor.full_name}:{fingerprint[:12]}>",
+        _EAGER)
+    value = (namespace, spec)
     CODE_CACHE.put(key, value)
     return value
 
@@ -1004,10 +997,7 @@ class KernelBinding:
             descriptor = self.resolver(adt_addr)
         except KeyError:
             return None
-        compiled = compiled_kernel(self.kind, descriptor, schedule)
-        if compiled is None:
-            return None
-        namespace, spec = compiled
+        namespace, spec = compiled_kernel(self.kind, descriptor, schedule)
         plans = _resolve_plans(self.memory, adt_addr, spec)
         if plans is None:
             return None

@@ -188,7 +188,9 @@ class ProtoAccelerator:
 
     def register_types(self, descriptors: list[MessageDescriptor]) -> None:
         """Generate ADTs for ``descriptors`` and all reachable sub-types
-        (what the modified protoc emits into the binary)."""
+        (what the modified protoc emits into the binary).  This is the
+        only writer of ADT memory: a type already registered keeps its
+        block untouched, and no ADT is ever released."""
         self.adts.build(descriptors)
 
     def register_schema(self, schema) -> None:
@@ -399,11 +401,10 @@ class ProtoAccelerator:
 
     def load_object(self, message: Message) -> int:
         """Materialise ``message`` as a C++ object image on the software
-        heap (the state an application builds up before serializing).
-
-        Re-populates the type's ADTs, then writes the image by walking
-        the type's image plan (repro.memory.layout.ImagePlan)."""
-        self.adts.build([message.descriptor])
+        heap (the state an application builds up before serializing),
+        walking the type's image plan (repro.memory.layout.ImagePlan).
+        Only the image is written: the type's ADTs are the ones
+        :meth:`register_types` wrote."""
         return write_message_image(self.memory, self.memory.allocate,
                                    message, self.layouts)
 
@@ -491,11 +492,13 @@ class ProtoAccelerator:
     def end_pure_call(self, mark: int) -> None:
         """Close a pure-charging window: reclaim the arenas and roll
         the software heap (wire buffers, object images) back to
-        ``mark``.  If an arena was renewed inside the window the heap
-        is left alone -- the live arena sits above the mark."""
+        ``mark``.  If an arena was renewed or an ADT built inside the
+        window the heap is left alone -- the live arena or the ADT,
+        which is never released, sits above the mark."""
         self.reset_arenas()
         if (self._deser_arena.base >= mark
-                or self._ser_arena.data_base >= mark):
+                or self._ser_arena.data_base >= mark
+                or self.adts.top > mark):
             return
         self.memory.heap_release(mark)
 

@@ -10,8 +10,7 @@ docs/PERF.md).
 Every such layer is a :class:`Memo`.  Memos register here by name,
 report through :func:`counters`, and obey one process-wide switch:
 inside :func:`disabled` every :meth:`Memo.get` misses and every
-:meth:`Memo.put` stores nothing (the counters do not move), and so does
-the ADT decode memo of :class:`~repro.memory.memspace.SimMemory`.
+:meth:`Memo.put` stores nothing (the counters do not move).
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro import memo
-
 #: First usable address; address 0 is reserved as the null pointer.
 BASE_ADDRESS = 0x1000
 
@@ -55,29 +53,6 @@ class SimMemory:
         self._pages: dict[int, bytearray] = {}
         self._brk = BASE_ADDRESS
         self.stats = MemoryStats()
-        # Decoded-structure cache for effectively-immutable regions
-        # (ADT blocks): readers memoise decodes here; any write that
-        # overlaps the cached envelope flushes the lot.  It obeys the
-        # process-wide memo switch (repro.memo.disabled).
-        self._decode_cache: dict = {}
-        self._decode_lo = 1 << 63
-        self._decode_hi = 0
-
-    # -- decoded-structure cache -----------------------------------------------
-
-    def decode_cache_get(self, key):
-        return self._decode_cache.get(key) if memo.ENABLED else None
-
-    def decode_cache_put(self, key, addr: int, length: int, value):
-        """Memoise a decode of bytes [addr, addr+length); returns value."""
-        if not memo.ENABLED:
-            return value
-        if addr < self._decode_lo:
-            self._decode_lo = addr
-        if addr + length > self._decode_hi:
-            self._decode_hi = addr + length
-        self._decode_cache[key] = value
-        return value
 
     # -- allocation ---------------------------------------------------------
 
@@ -102,8 +77,7 @@ class SimMemory:
         Regions handed out after the mark are forgotten and their
         addresses re-issued to later allocations.  Callers own the
         lifetime argument: nothing may still reference the released
-        regions.  Stale decode-cache entries are safe -- any rewrite of
-        a re-issued region flushes overlapping entries.
+        regions.
         """
         if not BASE_ADDRESS <= mark <= self._brk:
             raise ValueError(
@@ -148,11 +122,6 @@ class SimMemory:
     def write(self, addr: int, data) -> None:
         length = len(data)
         self._check(addr, length)
-        if (self._decode_cache and addr < self._decode_hi
-                and addr + length > self._decode_lo):
-            self._decode_cache.clear()
-            self._decode_lo = 1 << 63
-            self._decode_hi = 0
         self.stats.writes += 1
         self.stats.written_bytes += length
         start = addr - BASE_ADDRESS

@@ -21,21 +21,14 @@ from repro.proto.errors import DecodeError
 from repro.proto.message import Message
 from repro.proto.trace import Op, Trace
 from repro.proto.types import (
+    FIXED_WIDTH_BYTES,
+    STRUCT_FORMATS,
     FieldType,
     WireType,
     ZIGZAG_TYPES,
 )
 from repro.proto.varint import decode_signed, decode_varint, decode_zigzag
 from repro.proto.wire import decode_tag, skip_field
-
-_STRUCT_FORMATS = {
-    FieldType.DOUBLE: ("<d", 8),
-    FieldType.FLOAT: ("<f", 4),
-    FieldType.FIXED32: ("<I", 4),
-    FieldType.FIXED64: ("<Q", 8),
-    FieldType.SFIXED32: ("<i", 4),
-    FieldType.SFIXED64: ("<q", 8),
-}
 
 #: Nominal heap cost of constructing an empty C++ message object; used only
 #: for trace accounting (OBJ_CONSTRUCT events), not functional behaviour.
@@ -69,8 +62,8 @@ def _decode_scalar(fd: FieldDescriptor, data: bytes, offset: int,
                    arena, keep_unknown: bool = False) -> tuple[object, int]:
     """Decode one element's value; returns (value, new_offset)."""
     ft = fd.field_type
-    if ft in _STRUCT_FORMATS:
-        fmt, width = _STRUCT_FORMATS[ft]
+    if ft in STRUCT_FORMATS:
+        width = FIXED_WIDTH_BYTES[ft]
         expected = (WireType.FIXED32 if width == 4 else WireType.FIXED64)
         if wire_type is not expected:
             raise DecodeError(
@@ -78,7 +71,7 @@ def _decode_scalar(fd: FieldDescriptor, data: bytes, offset: int,
                 f"match {ft.value}")
         if offset + width > len(data):
             raise DecodeError(f"field {fd.name}: truncated fixed value")
-        value = struct.unpack_from(fmt, data, offset)[0]
+        value = struct.unpack_from(STRUCT_FORMATS[ft], data, offset)[0]
         if trace is not None:
             trace.emit(Op.FIXED_READ, width)
         return value, offset + width

@@ -24,6 +24,7 @@ from repro.proto.message import Message
 from repro.proto.trace import Op, Trace
 from repro.proto.types import (
     FIXED_WIDTH_BYTES,
+    STRUCT_FORMATS,
     FieldType,
     WireType,
     ZIGZAG_TYPES,
@@ -35,15 +36,6 @@ from repro.proto.varint import (
     varint_length,
 )
 from repro.proto.wire import encode_tag, tag_length
-
-_STRUCT_FORMATS = {
-    FieldType.DOUBLE: "<d",
-    FieldType.FLOAT: "<f",
-    FieldType.FIXED32: "<I",
-    FieldType.FIXED64: "<Q",
-    FieldType.SFIXED32: "<i",
-    FieldType.SFIXED64: "<q",
-}
 
 
 def _varint_payload(fd: FieldDescriptor, value) -> int:
@@ -116,8 +108,8 @@ def _encode_scalar(out: bytearray, fd: FieldDescriptor, value,
                    trace: Optional[Trace]) -> None:
     """Append one element's value bytes (no key)."""
     ft = fd.field_type
-    if ft in _STRUCT_FORMATS:
-        out += struct.pack(_STRUCT_FORMATS[ft], value)
+    if ft in STRUCT_FORMATS:
+        out += struct.pack(STRUCT_FORMATS[ft], value)
         if trace is not None:
             trace.emit(Op.FIXED_WRITE, FIXED_WIDTH_BYTES[ft])
         return

@@ -33,6 +33,11 @@ class FieldType(enum.Enum):
     MESSAGE = "message"
     GROUP = "group"  # deprecated; recognised but rejected by the parser
 
+    # Members are singletons compared by identity, so the identity hash
+    # serves; Enum's default hashes the member name in Python on every
+    # dict or set lookup, which the interpretive codec does per element.
+    __hash__ = object.__hash__
+
 
 class WireType(enum.IntEnum):
     """The six protobuf wire types (two deprecated)."""
@@ -126,6 +131,16 @@ FIXED_WIDTH_BYTES: dict[FieldType, int] = {
     FieldType.FLOAT: 4,
     FieldType.FIXED32: 4,
     FieldType.SFIXED32: 4,
+}
+
+# `struct` formats of the fixed-width scalar types (widths: FIXED_WIDTH_BYTES).
+STRUCT_FORMATS: dict[FieldType, str] = {
+    FieldType.DOUBLE: "<d",
+    FieldType.FLOAT: "<f",
+    FieldType.FIXED32: "<I",
+    FieldType.FIXED64: "<Q",
+    FieldType.SFIXED32: "<i",
+    FieldType.SFIXED64: "<q",
 }
 
 # Width of the C++ in-memory representation for scalar field types.

@@ -9,10 +9,13 @@ from repro.accel.adt import (
     AdtView,
     adt_size_bytes,
 )
+from repro.accel.driver import ProtoAccelerator
+from repro.faults import FaultPlan
 from repro.memory.layout import LayoutCache
 from repro.memory.memspace import SimMemory
 from repro.proto import parse_schema
 from repro.proto.types import FieldType
+from repro.soc.config import SoCConfig
 
 
 @pytest.fixture()
@@ -139,3 +142,91 @@ class TestBuilder:
         _, _, builder = _build(schema)
         addr = builder.adt_address(schema["M"])
         assert builder.descriptor_for(addr) is schema["M"]
+
+
+def _sample(schema):
+    m = schema["M"].new_message()
+    m["x"] = -5
+    m["s"] = "hello"
+    m["packed_nums"].extend([1, 2, 300])
+    m["z"] = -7
+    m.mutable("inner")["a"] = 11
+    m["kids"].add()["a"] = 12
+    node = schema["Node"].new_message()
+    node["v"] = 1
+    node.mutable("next")["v"] = 2
+    return [m, node]
+
+
+def _adt_blocks(accel, schema):
+    return {d.full_name: accel.memory.read(accel.adts.adt_address(d),
+                                           adt_size_bytes(d))
+            for d in schema.messages()}
+
+
+class TestRegistrationIsTheOnlyWriter:
+    @pytest.mark.parametrize("fast_path, transport, plan", [
+        ("interp", "rocc", None),
+        ("codegen", "rocc", None),
+        ("codegen", "pcie", FaultPlan(seed=5, rate=0.5)),
+    ], ids=["interp", "codegen", "pcie-faults"])
+    def test_operations_leave_every_adt_block_untouched(
+            self, schema, fast_path, transport, plan):
+        accel = ProtoAccelerator(config=SoCConfig(transport=transport),
+                                 faults=plan, fast_path=fast_path)
+        accel.register_schema(schema)
+        before = _adt_blocks(accel, schema)
+        for _ in range(4):
+            for message in _sample(schema):
+                descriptor = message.descriptor
+                data = accel.serialize(descriptor,
+                                       accel.load_object(message)).data
+                assert data == message.serialize()
+                result = accel.deserialize(descriptor, data)
+                assert accel.read_message(descriptor,
+                                          result.dest_addr) == message
+            accel.reset_arenas()
+        if plan is not None:
+            assert accel.fault_stats.faults_injected > 0
+        assert _adt_blocks(accel, schema) == before
+
+    def test_reregistering_writes_nothing(self, schema):
+        accel = ProtoAccelerator()
+        accel.register_schema(schema)
+        writes = accel.memory.stats.writes
+        accel.register_schema(schema)
+        accel.register_types([schema["M"]])
+        assert accel.memory.stats.writes == writes
+
+    def test_unregistered_type_fails_at_serialize(self, schema):
+        accel = ProtoAccelerator()
+        message = _sample(schema)[0]
+        with pytest.raises(KeyError, match="no ADT built for M"):
+            accel.serialize(message.descriptor, accel.load_object(message))
+
+
+class TestAdtLifetime:
+    def test_adt_registered_in_a_pure_call_window_survives_it(self):
+        first = parse_schema("message A { optional string s = 1; }")
+        second = parse_schema("""
+            message B { optional int32 v = 1; optional string t = 2; }
+        """)
+        accel = ProtoAccelerator()
+        accel.register_schema(first)
+        mark = accel.begin_pure_call()
+        accel.register_schema(second)
+        accel.end_pure_call(mark)
+        # The next window's wire buffer must land above B's ADT, not
+        # over it.
+        a = first["A"].new_message()
+        a["s"] = "q" * 400
+        mark = accel.begin_pure_call()
+        accel.deserialize(first["A"], a.serialize())
+        accel.end_pure_call(mark)
+        b = second["B"].new_message()
+        b["v"] = 3
+        b["t"] = "tee"
+        result = accel.deserialize(second["B"], b.serialize())
+        assert accel.read_message(second["B"], result.dest_addr) == b
+        b_adt = accel.adts.adt_address(second["B"])
+        assert accel.memory.heap_top >= b_adt + adt_size_bytes(second["B"])
