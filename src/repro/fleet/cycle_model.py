@@ -139,8 +139,10 @@ class CycleAttributionModel:
     def __init__(self, cpu: SoftwareCpu | None = None):
         self.cpu = cpu or xeon_cpu()
         self.slices = build_slices()
+        #: Per operation, each slice's measured seconds per byte.
+        self._per_byte: dict[str, dict[Slice, float]] = {}
 
-    def _seconds_per_byte(self, slice_: Slice, operation: str) -> float:
+    def _measure(self, slice_: Slice, operation: str) -> float:
         messages = slice_.build_batch()
         total_cycles = 0.0
         total_bytes = 0
@@ -154,20 +156,28 @@ class CycleAttributionModel:
             total_bytes += len(data)
         return total_cycles / self.cpu.params.clock_hz / total_bytes
 
+    def _seconds_per_byte(self, operation: str) -> dict[Slice, float]:
+        """Every slice's seconds per byte, measured on first use."""
+        table = self._per_byte.get(operation)
+        if table is None:
+            if operation not in ("serialize", "deserialize"):
+                raise ValueError(
+                    "operation must be serialize or deserialize")
+            table = self._per_byte[operation] = {
+                slice_: self._measure(slice_, operation)
+                for slice_ in self.slices}
+        return table
+
     def throughput_gbps(self, slice_: Slice, operation: str) -> float:
         """Per-slice throughput in Gbit/s on the modelled host."""
-        return 8 / self._seconds_per_byte(slice_, operation) / 1e9
+        return 8 / self._seconds_per_byte(operation)[slice_] / 1e9
 
     def time_shares(self, operation: str) -> dict[str, float]:
         """Figure 5 (deserialize) / Figure 6 (serialize): the estimated
         share of fleet ser/deser time spent per slice."""
-        if operation not in ("serialize", "deserialize"):
-            raise ValueError("operation must be serialize or deserialize")
-        weighted = {
-            slice_.name: slice_.byte_share
-            * self._seconds_per_byte(slice_, operation)
-            for slice_ in self.slices
-        }
+        costs = self._seconds_per_byte(operation)
+        weighted = {slice_.name: slice_.byte_share * costs[slice_]
+                    for slice_ in self.slices}
         total = sum(weighted.values())
         return {name: value / total for name, value in weighted.items()}
 
@@ -185,6 +195,5 @@ class CycleAttributionModel:
     def per_byte_speed_ratio(self, operation: str) -> float:
         """Fastest vs slowest slice in per-byte terms (the paper: large
         bytes-like fields are 100-500x faster per byte)."""
-        costs = [self._seconds_per_byte(slice_, operation)
-                 for slice_ in self.slices]
+        costs = self._seconds_per_byte(operation).values()
         return max(costs) / min(costs)

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 from repro.fleet.distributions import (
     BYTES_FIELD_SIZE_BUCKETS,
@@ -32,9 +35,11 @@ from repro.fleet.distributions import (
 _BYTES_LIKE = ("string", "bytes")
 _VARINT_LIKE = ("int32", "int64", "enum", "bool", "uint64", "other_varint")
 
+#: Largest size a bucket without an upper bound draws.
+_OPEN_BUCKET_HI = 131072
 
-@dataclass(frozen=True)
-class FieldShape:
+
+class FieldShape(NamedTuple):
     """One sampled field occurrence: its primitive type and wire bytes
     (value only, excluding the key)."""
 
@@ -56,24 +61,66 @@ class ShapeSample:
         return sum(f.wire_bytes for f in self.fields)
 
 
-def _pick_bucket(rng: random.Random,
-                 buckets: tuple[SizeBucket, ...]) -> SizeBucket:
-    roll = rng.random()
-    acc = 0.0
-    for bucket in buckets:
-        acc += bucket.share
-        if roll < acc:
-            return bucket
-    return buckets[-1]
+class _Choice:
+    """``rng.choices(population, weights)[0]`` with the table built once.
+
+    :meth:`random.Random.choices` with ``k=1`` accumulates the weights,
+    then returns ``population[bisect(cum, random() * total, 0, hi)]``;
+    :meth:`draw` takes exactly those steps on the same floats, so it
+    consumes the same random stream and returns the same values.
+    """
+
+    __slots__ = ("population", "cum", "total", "hi")
+
+    def __init__(self, population, weights):
+        self.population = tuple(population)
+        self.cum = list(accumulate(weights))
+        self.total = self.cum[-1] + 0.0
+        self.hi = len(self.cum) - 1
+
+    def draw(self, rng: random.Random):
+        return self.population[
+            bisect_right(self.cum, rng.random() * self.total, 0, self.hi)]
 
 
-def _size_within(rng: random.Random, bucket: SizeBucket) -> int:
-    """Log-uniform size inside a bucket (sizes are scale-free)."""
-    lo = max(bucket.lo, 1)
-    hi = bucket.hi if bucket.hi is not None else 131072
-    if hi <= lo:
-        return lo
-    return int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+class SizeTable:
+    """Log-uniform sizes inside share-weighted buckets (sizes are
+    scale-free).
+
+    A draw takes one ``random()`` to pick the bucket -- the first whose
+    running share exceeds it, else the last -- and one more for
+    ``exp(uniform(log(lo), log(hi)))`` unless the bucket holds one size.
+    The running shares and the logs are computed once;
+    ``uniform(a, b)`` is ``a + (b - a) * random()``, so every draw is
+    the float it would be if recomputed.
+    """
+
+    __slots__ = ("cum", "ranges")
+
+    def __init__(self, buckets: tuple[SizeBucket, ...]):
+        self.cum = list(accumulate(bucket.share for bucket in buckets))
+        self.ranges = []
+        for bucket in buckets:
+            lo = max(bucket.lo, 1)
+            hi = bucket.hi if bucket.hi is not None else _OPEN_BUCKET_HI
+            if hi <= lo:
+                self.ranges.append((lo, 0.0, None))
+            else:
+                log_lo = math.log(lo)
+                self.ranges.append((lo, log_lo, math.log(hi) - log_lo))
+
+    def draw(self, rng: random.Random) -> int:
+        ranges = self.ranges
+        index = bisect_right(self.cum, rng.random())
+        lo, log_lo, span = ranges[index if index < len(ranges) else -1]
+        if span is None:
+            return lo
+        return int(round(math.exp(log_lo + span * rng.random())))
+
+
+#: Figure 3's top-level message sizes and Figure 4c's bytes-field sizes.
+MESSAGE_SIZES = SizeTable(MESSAGE_SIZE_BUCKETS)
+BYTES_FIELD_SIZES = SizeTable(BYTES_FIELD_SIZE_BUCKETS)
 
 
 def _depth_pmf() -> list[tuple[int, float]]:
@@ -86,52 +133,75 @@ def _depth_pmf() -> list[tuple[int, float]]:
     return pmf
 
 
+def _field_kinds() -> tuple[object, ...]:
+    """Per field type, in :data:`FIELD_COUNT_SHARES` order: the type name
+    for a bytes-like type (its size is drawn), the shape for each varint
+    size (in :data:`VARINT_SIZE_SHARES` order) for a varint-like type,
+    and the one shape of a fixed-width type."""
+    kinds: list[object] = []
+    for type_name in FIELD_COUNT_SHARES:
+        if type_name in _BYTES_LIKE:
+            kinds.append(type_name)
+        elif type_name in _VARINT_LIKE:
+            kinds.append(tuple(FieldShape(type_name, size)
+                               for size in VARINT_SIZE_SHARES))
+        elif type_name in ("double", "fixed64"):
+            kinds.append(FieldShape(type_name, 8))
+        else:
+            kinds.append(FieldShape(type_name, 4))  # float, fixed32
+    return tuple(kinds)
+
+
 class FleetSampler:
     """Draws synthetic protobufz shape samples."""
 
     def __init__(self, seed: int = 11):
         self._rng = random.Random(seed)
-        self._field_names = list(FIELD_COUNT_SHARES)
-        self._field_weights = list(FIELD_COUNT_SHARES.values())
-        self._varint_sizes = list(VARINT_SIZE_SHARES)
-        self._varint_weights = list(VARINT_SIZE_SHARES.values())
-        self._depth_pmf = _depth_pmf()
-        self._density_edges = list(DENSITY_HISTOGRAM)
-        self._density_weights = list(DENSITY_HISTOGRAM.values())
-
-    def _field_value_bytes(self, type_name: str, budget: int) -> int:
-        rng = self._rng
-        if type_name in _BYTES_LIKE:
-            bucket = _pick_bucket(rng, BYTES_FIELD_SIZE_BUCKETS)
-            return min(_size_within(rng, bucket), max(budget, 1))
-        if type_name in _VARINT_LIKE:
-            return rng.choices(self._varint_sizes,
-                               self._varint_weights)[0]
-        if type_name in ("double", "fixed64"):
-            return 8
-        return 4  # float, fixed32
+        self._field_types = _Choice(_field_kinds(),
+                                    FIELD_COUNT_SHARES.values())
+        #: Draws an index into a varint-like kind's shapes.
+        self._varint_sizes = _Choice(range(len(VARINT_SIZE_SHARES)),
+                                     VARINT_SIZE_SHARES.values())
+        self._density_edges = _Choice(DENSITY_HISTOGRAM,
+                                      DENSITY_HISTOGRAM.values())
+        depths, weights = zip(*_depth_pmf())
+        self._depths = _Choice(depths, weights)
 
     def sample(self) -> ShapeSample:
         """Draw one top-level message shape."""
         rng = self._rng
-        size = _size_within(rng, _pick_bucket(rng, MESSAGE_SIZE_BUCKETS))
-        sample = ShapeSample(encoded_size=size)
+        roll = rng.random
+        size = MESSAGE_SIZES.draw(rng)
+        fields: list[FieldShape] = []
         budget = size
+        # The two per-field draws are _Choice.draw, inlined.
+        types, varints = self._field_types, self._varint_sizes
+        kinds, kind_cum, kind_total, kind_hi = (
+            types.population, types.cum, types.total, types.hi)
+        varint_cum, varint_total, varint_hi = (
+            varints.cum, varints.total, varints.hi)
+        bytes_size = BYTES_FIELD_SIZES.draw
         while budget > 0:
-            type_name = rng.choices(self._field_names,
-                                    self._field_weights)[0]
-            value = self._field_value_bytes(type_name, budget)
-            key = 1  # field numbers are overwhelmingly single-byte keys
-            sample.fields.append(FieldShape(type_name, value))
-            budget -= value + key
-            if len(sample.fields) > 4096:
+            kind = kinds[bisect_right(kind_cum, roll() * kind_total,
+                                      0, kind_hi)]
+            if kind.__class__ is tuple:  # varint-like: one shape per size
+                shape = kind[bisect_right(varint_cum,
+                                          roll() * varint_total,
+                                          0, varint_hi)]
+            elif kind.__class__ is str:  # bytes-like
+                shape = FieldShape(kind, min(bytes_size(rng),
+                                             max(budget, 1)))
+            else:
+                shape = kind
+            fields.append(shape)
+            # Field numbers are overwhelmingly single-byte keys.
+            budget -= shape.wire_bytes + 1
+            if len(fields) > 4096:
                 break
-        edge = rng.choices(self._density_edges, self._density_weights)[0]
-        sample.density = (rng.uniform(0.0, 1 / 64) if edge == 0.0
-                          else rng.uniform(edge, min(edge + 0.05, 1.0)))
-        depths, weights = zip(*self._depth_pmf)
-        sample.max_depth = rng.choices(depths, weights)[0]
-        return sample
+        edge = self._density_edges.draw(rng)
+        density = (rng.uniform(0.0, 1 / 64) if edge == 0.0
+                   else rng.uniform(edge, min(edge + 0.05, 1.0)))
+        return ShapeSample(size, fields, density, self._depths.draw(rng))
 
     def sample_many(self, count: int) -> list[ShapeSample]:
         return [self.sample() for _ in range(count)]

@@ -3,10 +3,16 @@
 Addresses are plain integers starting at :data:`BASE_ADDRESS` (so that 0
 can serve as a null pointer).  The memory records read/write statistics
 used by the timing models.
+
+The backing store is one anonymous private mapping of the whole address
+space.  The OS zero-fills each page on first touch, so untouched
+memory -- an arena parked at a high address, say -- costs no RSS, and
+every access is one bounds check and one slice, whatever it straddles.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -37,20 +43,19 @@ class SimMemory:
     objects, serialized input buffers); the accelerator's own allocations go
     through :class:`~repro.memory.arena.AcceleratorArena` regions carved out
     of this memory.
-    """
 
-    #: Backing-store page size.  Pages materialise (zeroed) on first
-    #: write, so zeroing cost tracks bytes actually touched rather than
-    #: the address-space high-water mark -- arenas parked at high
-    #: addresses cost nothing until used.
-    _PAGE_SHIFT = 16
-    _PAGE = 1 << _PAGE_SHIFT
+    The bytes live in ``mmap.mmap(-1, size, flags=MAP_PRIVATE)``: address
+    ``a`` is offset ``a - BASE_ADDRESS`` of the mapping.  ``MAP_PRIVATE``
+    matters: Python maps an anonymous region ``MAP_SHARED`` by default,
+    and a forked worker would then write into its parent's memory; a
+    private mapping is copy-on-write across ``fork``.
+    """
 
     def __init__(self, size: int = 64 << 20):
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.size = size
-        self._pages: dict[int, bytearray] = {}
+        self._bytes = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._brk = BASE_ADDRESS
         self.stats = MemoryStats()
 
@@ -87,63 +92,26 @@ class SimMemory:
 
     # -- raw access -----------------------------------------------------------
 
-    def _check(self, addr: int, length: int) -> None:
-        if addr < BASE_ADDRESS or addr + length - BASE_ADDRESS > self.size:
+    def read(self, addr: int, length: int) -> bytes:
+        start = addr - BASE_ADDRESS
+        if start < 0 or start + length > self.size:
             raise IndexError(
                 f"access [{addr:#x}, {addr + length:#x}) out of bounds")
-
-    def read(self, addr: int, length: int) -> bytes:
-        self._check(addr, length)
-        self.stats.reads += 1
-        self.stats.read_bytes += length
-        start = addr - BASE_ADDRESS
-        page = start >> self._PAGE_SHIFT
-        offset = start & self._PAGE - 1
-        if offset + length <= self._PAGE:
-            backing = self._pages.get(page)
-            if backing is None:
-                # Never-written page: zeros, without materialising it.
-                return bytes(length)
-            return bytes(backing[offset:offset + length])
-        pieces = bytearray()
-        remaining = length
-        while remaining:
-            take = min(self._PAGE - offset, remaining)
-            backing = self._pages.get(page)
-            if backing is None:
-                pieces += bytes(take)
-            else:
-                pieces += backing[offset:offset + take]
-            remaining -= take
-            page += 1
-            offset = 0
-        return bytes(pieces)
+        stats = self.stats
+        stats.reads += 1
+        stats.read_bytes += length
+        return self._bytes[start:start + length]
 
     def write(self, addr: int, data) -> None:
         length = len(data)
-        self._check(addr, length)
-        self.stats.writes += 1
-        self.stats.written_bytes += length
         start = addr - BASE_ADDRESS
-        page = start >> self._PAGE_SHIFT
-        offset = start & self._PAGE - 1
-        if offset + length <= self._PAGE:
-            backing = self._pages.get(page)
-            if backing is None:
-                backing = self._pages[page] = bytearray(self._PAGE)
-            backing[offset:offset + length] = data
-            return
-        view = memoryview(data)
-        position = 0
-        while position < length:
-            take = min(self._PAGE - offset, length - position)
-            backing = self._pages.get(page)
-            if backing is None:
-                backing = self._pages[page] = bytearray(self._PAGE)
-            backing[offset:offset + take] = view[position:position + take]
-            position += take
-            page += 1
-            offset = 0
+        if start < 0 or start + length > self.size:
+            raise IndexError(
+                f"access [{addr:#x}, {addr + length:#x}) out of bounds")
+        stats = self.stats
+        stats.writes += 1
+        stats.written_bytes += length
+        self._bytes[start:start + length] = data
 
     # -- typed helpers ---------------------------------------------------------
 

@@ -78,6 +78,10 @@ class FieldDescriptor:
     oneof_group: Optional[str] = None
 
     def __post_init__(self) -> None:
+        #: A plain attribute, not a property: the decoder and encoder
+        #: read it per field and per element.  ``label`` is fixed once
+        #: the descriptor is built.
+        self.is_repeated = self.label is Label.REPEATED
         if not 1 <= self.number <= MAX_FIELD_NUMBER:
             raise SchemaError(
                 f"field {self.name}: number {self.number} out of range")
@@ -98,10 +102,6 @@ class FieldDescriptor:
             raise SchemaError(f"field {self.name}: message type missing name")
         if self.field_type is FieldType.ENUM and self.enum_type is None:
             raise SchemaError(f"field {self.name}: enum type missing")
-
-    @property
-    def is_repeated(self) -> bool:
-        return self.label is Label.REPEATED
 
     @property
     def is_required(self) -> bool:

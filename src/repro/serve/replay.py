@@ -32,11 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from repro.fleet.distributions import (
-    MESSAGE_SIZE_BUCKETS,
-    VARINT_SIZE_SHARES,
-)
-from repro.fleet.sampler import _pick_bucket, _size_within
+from repro.fleet.distributions import VARINT_SIZE_SHARES
+from repro.fleet.sampler import MESSAGE_SIZES
 from repro.proto import parse_schema
 from repro.serve.fabric import FabricPolicy, ServingFabric
 from repro.serve.router import _hash64
@@ -185,7 +182,7 @@ def tenant_plan(spec: FleetReplaySpec) -> tuple[tuple[str, str], ...]:
 
 def _draw_size(rng: random.Random, cap: int) -> int:
     """One Figure 3 message-size draw, capped for replay runtime."""
-    size = _size_within(rng, _pick_bucket(rng, MESSAGE_SIZE_BUCKETS))
+    size = MESSAGE_SIZES.draw(rng)
     return max(1, min(size, cap))
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fleet.cycle_model import CycleAttributionModel, build_slices
+from repro.bench.figures import figure5_6
+from repro.fleet.cycle_model import CycleAttributionModel, Slice, build_slices
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +63,24 @@ class TestTimeShares(object):
         small = model.throughput_gbps(bytes_slices[0], "deserialize")
         large = model.throughput_gbps(bytes_slices[-1], "deserialize")
         assert large > small * 20
+
+
+class TestMeasuredOnce:
+    def test_figure5_measures_each_slice_once(self, monkeypatch):
+        built: dict[str, int] = {}
+        build_batch = Slice.build_batch
+
+        def counting_build_batch(slice_, count=4):
+            built[slice_.name] = built.get(slice_.name, 0) + 1
+            return build_batch(slice_, count)
+
+        monkeypatch.setattr(Slice, "build_batch", counting_build_batch)
+        figure5_6("deserialize")
+        assert len(built) == 24
+        assert set(built.values()) == {1}
+
+    def test_every_method_rejects_an_unknown_operation(self, model):
+        with pytest.raises(ValueError):
+            model.throughput_gbps(model.slices[0], "transmogrify")
+        with pytest.raises(ValueError):
+            model.per_byte_speed_ratio("transmogrify")
