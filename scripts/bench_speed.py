@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Exact-gate runner: every deterministic benchmark verdict in one pass.
 
-Runs four sections, checks each one's invariants (see the ``*_section``
+Runs five sections, checks each one's invariants (see the ``*_section``
 docstrings), then requires the regenerated record of modeled values to
 equal the committed ``BENCH_exact.json``, printing the first differing
 key paths otherwise.  Wall-clock speed is gated statistically by
@@ -43,9 +43,18 @@ FLEET_INTERARRIVALS = (2_000.0, 1_000.0, 500.0, 300.0)
 #: The sweep runs host-parallel at ``FLEET_JOBS``; the scaling replay
 #: checks every level in ``SCALING_JOBS`` against the serial fabric.
 FLEET_JOBS, SCALING_JOBS = 2, (2, 4)
-#: Tenants in the resize replay: wide enough that a 2 -> 3 resize
-#: splits the fleet into non-empty moved AND unmoved sets.
+#: Tenants in the resize replays: wide enough that the 2 -> 3 grow and
+#: the 3 -> 2 drain each split the fleet into non-empty moved AND
+#: unmoved sets.
 RESIZE_TENANTS = 8
+#: Each resize schedule: (base shards, the event fired one third of the
+#: way in).  A drain flags the calls whose old home was the draining
+#: shard as ``migrated`` while the drain runs.
+RESIZES = (
+    (2, serve.ResizeEvent(at_call=FLEET_MESSAGES // 3, action="add")),
+    (3, serve.ResizeEvent(at_call=FLEET_MESSAGES // 3, action="drain",
+                          shard=1)),
+)
 #: Scaling-row fields measured on the host clock: printed, not recorded.
 HOST_FIELDS = ("cores", "wall_seconds", "speedup", "busy_seconds",
                "ideal_speedup")
@@ -156,23 +165,25 @@ def check_scaling(scaling_rows: list[dict], errors: list[str]) -> None:
 
 
 def resize_rows(errors: list[str]) -> list[dict]:
-    """Each load point replayed across a 2 -> 3 shard grow fired one third
-    of the way in, against the no-resize replay of the same calls: no call
-    dropped, a non-degenerate split, unmoved tenants bit-identical."""
+    """Each load point replayed across each of ``RESIZES``, against the
+    no-resize replay of the same calls: no call dropped, a non-degenerate
+    split, unmoved tenants bit-identical, and a drain that migrates."""
     rows = []
-    events = [serve.ResizeEvent(at_call=FLEET_MESSAGES // 3, action="add")]
-    for workload in ("echo", "fleet"):
-        for interarrival in FLEET_INTERARRIVALS:
-            spec = serve.FleetReplaySpec(
-                messages=FLEET_MESSAGES, workload=workload,
-                tenants=RESIZE_TENANTS, interarrival_cycles=interarrival)
-            static = serve.build_fleet_fabric(serve.FabricPolicy(
-                shards=2, serve=serve.REPLAY_SERVE_POLICY), spec)
-            baseline = serve.replay_through_fabric(
-                static, serve.generate_calls(spec))
-            replay = serve.run_resize_replay(spec, base_shards=2,
-                                             events=events)
-            rows.append(serve.resize_row(spec, replay, baseline))
+    for base_shards, event in RESIZES:
+        for workload in ("echo", "fleet"):
+            for interarrival in FLEET_INTERARRIVALS:
+                spec = serve.FleetReplaySpec(
+                    messages=FLEET_MESSAGES, workload=workload,
+                    tenants=RESIZE_TENANTS,
+                    interarrival_cycles=interarrival)
+                static = serve.build_fleet_fabric(serve.FabricPolicy(
+                    shards=base_shards, serve=serve.REPLAY_SERVE_POLICY),
+                    spec)
+                baseline = serve.replay_through_fabric(
+                    static, serve.generate_calls(spec))
+                replay = serve.run_resize_replay(
+                    spec, base_shards=base_shards, events=[event])
+                rows.append(serve.resize_row(spec, replay, baseline))
     for row in rows:
         accounted = (row["shed"] + row["failed"] + row["succeeded"]
                      + row["migrated"])
@@ -185,8 +196,11 @@ def resize_rows(errors: list[str]) -> list[dict]:
              f"degenerate tenant split (moved={row['moved_tenants']} "
              f"unmoved={row['unmoved_tenants']})"),
             (row["unmoved_bit_identical"], "unmoved tenants' charging "
-             "diverged from the no-resize replay"))
-        errors.extend(f"fleet: resized {row['workload']} at interarrival "
+             "diverged from the no-resize replay"),
+            (row["migrated"] or row["events"][0]["action"] != "drain",
+             "the drain migrated no call"))
+        errors.extend(f"fleet: {row['base_shards']} -> {row['final_shards']} "
+                      f"resized {row['workload']} at interarrival "
                       f"{row['interarrival_cycles']:.0f}: {message}"
                       for ok, message in checks if not ok)
     return rows
@@ -239,8 +253,30 @@ def transport_section(errors: list[str]) -> dict:
     return {"rows": rows, "crossovers": crossovers}
 
 
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def figures_section(errors: list[str]) -> dict:
+    """Every paper figure, then every figure again in reversed order: each
+    text must come out identical on both passes, so no figure depends on
+    what ran before it in the process.  ``figures_sha256`` is the digest
+    of the paper-figures workload in perfbench."""
+    from repro.bench.figures import ALL_FIGURES
+    texts = {name: generate() for name, generate in ALL_FIGURES.items()}
+    for name in reversed(ALL_FIGURES):
+        if ALL_FIGURES[name]() != texts[name]:
+            errors.append(f"figures: {name} differs when the figures run "
+                          "in reversed order")
+    print(f"{len(texts)} figures generated twice, the second pass reversed")
+    return {"sha256": {name: sha256_text(text)
+                       for name, text in texts.items()},
+            "figures_sha256": sha256_text("\0".join(texts.values()))}
+
+
 SECTIONS = {"harness": harness_section, "serving": serving_section,
-            "fleet": fleet_section, "transport": transport_section}
+            "fleet": fleet_section, "transport": transport_section,
+            "figures": figures_section}
 
 
 def record_diff(want, got, path: str = "") -> list[str]:

@@ -189,10 +189,11 @@ def fleet_table(rows: Sequence[dict], width: int = 40) -> str:
 
 
 def resize_table(rows: Sequence[dict]) -> str:
-    """Render the resized fleet replays (ISSUE 8 acceptance figure).
+    """Render the resized fleet replays.
 
     ``rows`` come from :func:`repro.serve.replay.resize_row`: one dict
-    per (workload, offered load) replay across an online ring resize.
+    per (resize, workload, offered load) replay across an online ring
+    resize.
     The two boolean columns *are* the acceptance criteria -- ``drops``
     must read 0 (per-tenant accounting identity) and ``bit-id`` must
     read yes (unmoved tenants charged identically to the no-resize
@@ -200,16 +201,19 @@ def resize_table(rows: Sequence[dict]) -> str:
     """
     if not rows:
         raise ValueError("no resize rows to render")
-    header = (f"{'workload':<9} {'interarrival':>12} {'offered':>8} "
+    header = (f"{'resize':<6} {'workload':<9} {'interarrival':>12} "
+              f"{'offered':>8} "
               f"{'ok':>6} {'migr':>5} {'drops':>5} {'p99 cyc':>9} "
               f"{'moved':>5} {'defl':>5} {'bit-id':>6}")
-    lines = ["resized fleet replay (online 2 -> 3 shard grow, "
+    lines = ["resized fleet replay (online shard grow or drain, "
              "mid-stream)", header, "-" * len(header)]
     for row in rows:
         drops = row["offered"] - (row["shed"] + row["failed"]
                                   + row["succeeded"] + row["migrated"])
+        resize = f"{row['base_shards']}->{row['final_shards']}"
         lines.append(
-            f"{row['workload']:<9} {row['interarrival_cycles']:>12.0f} "
+            f"{resize:<6} {row['workload']:<9} "
+            f"{row['interarrival_cycles']:>12.0f} "
             f"{row['offered']:>8,} {row['succeeded']:>6,} "
             f"{row['migrated']:>5,} {drops:>5,} "
             f"{row['p99_cycles']:>9.0f} "

@@ -6,7 +6,7 @@ benchmark harness can ship them to worker processes.
 
 Site semantics (docs/FAULTS.md has the full taxonomy):
 
-* Transient sites model soft errors and contention -- retrying the same
+* Transient sites model soft errors and bus stalls -- retrying the same
   operation is expected to succeed once the condition clears.
 * Persistent sites model conditions a retry cannot fix (the hardware
   keeps detecting the same corruption); the driver goes straight to the

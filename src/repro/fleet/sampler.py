@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -37,6 +38,12 @@ _VARINT_LIKE = ("int32", "int64", "enum", "bool", "uint64", "other_varint")
 
 #: Largest size a bucket without an upper bound draws.
 _OPEN_BUCKET_HI = 131072
+
+#: Upper bounds of the bytes-field buckets, for a bisect: the first
+#: bucket whose ``hi`` reaches a size is the only one that can contain
+#: it (the buckets are sorted and disjoint).
+_BYTES_BUCKET_HIS = [math.inf if bucket.hi is None else bucket.hi
+                     for bucket in BYTES_FIELD_SIZE_BUCKETS]
 
 
 class FieldShape(NamedTuple):
@@ -226,24 +233,36 @@ class SampleAnalysis:
         total = len(self.samples)
         return {label: count / total for label, count in counts.items()}
 
+    @cached_property
+    def _field_tally(self) -> tuple[dict[str, int], dict[str, int],
+                                    list[int]]:
+        """Figure 4's three tallies from one walk over the sampled
+        fields: fields and wire bytes per type, in first-seen order,
+        and bytes-like fields per :data:`BYTES_FIELD_SIZE_BUCKETS`
+        bucket."""
+        counts: dict[str, int] = {}
+        volumes: dict[str, int] = {}
+        in_bucket = [0] * len(BYTES_FIELD_SIZE_BUCKETS)
+        for sample in self.samples:
+            for name, size in sample.fields:
+                counts[name] = counts.get(name, 0) + 1
+                volumes[name] = volumes.get(name, 0) + size
+                if name in _BYTES_LIKE:
+                    index = bisect_left(_BYTES_BUCKET_HIS, size)
+                    if (index < len(in_bucket) and size
+                            >= BYTES_FIELD_SIZE_BUCKETS[index].lo):
+                        in_bucket[index] += 1
+        return counts, volumes, in_bucket
+
     def field_count_shares(self) -> dict[str, float]:
         """Figure 4a: fraction of observed fields by type."""
-        counts: dict[str, int] = {}
-        for sample in self.samples:
-            for field_shape in sample.fields:
-                counts[field_shape.type_name] = (
-                    counts.get(field_shape.type_name, 0) + 1)
+        counts = self._field_tally[0]
         total = sum(counts.values())
         return {name: count / total for name, count in counts.items()}
 
     def field_bytes_shares(self) -> dict[str, float]:
         """Figure 4b: fraction of message bytes by field type."""
-        volumes: dict[str, float] = {}
-        for sample in self.samples:
-            for field_shape in sample.fields:
-                volumes[field_shape.type_name] = (
-                    volumes.get(field_shape.type_name, 0)
-                    + field_shape.wire_bytes)
+        volumes = self._field_tally[1]
         total = sum(volumes.values())
         return {name: volume / total for name, volume in volumes.items()}
 
@@ -259,20 +278,13 @@ class SampleAnalysis:
 
     def bytes_field_size_histogram(self) -> dict[str, float]:
         """Figure 4c: size distribution of bytes-like fields."""
-        counts = {bucket.label: 0 for bucket in BYTES_FIELD_SIZE_BUCKETS}
-        total = 0
-        for sample in self.samples:
-            for field_shape in sample.fields:
-                if field_shape.type_name not in _BYTES_LIKE:
-                    continue
-                total += 1
-                for bucket in BYTES_FIELD_SIZE_BUCKETS:
-                    if bucket.contains(field_shape.wire_bytes):
-                        counts[bucket.label] += 1
-                        break
+        counts, _, in_bucket = self._field_tally
+        total = sum(counts.get(name, 0) for name in _BYTES_LIKE)
+        labels = [bucket.label for bucket in BYTES_FIELD_SIZE_BUCKETS]
         if total == 0:
-            return {label: 0.0 for label in counts}
-        return {label: count / total for label, count in counts.items()}
+            return {label: 0.0 for label in labels}
+        return {label: count / total
+                for label, count in zip(labels, in_bucket)}
 
     def density_share_above(self, threshold: float) -> float:
         """Figure 7's comparison: messages with density above threshold."""

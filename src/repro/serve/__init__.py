@@ -11,8 +11,6 @@ See docs/SERVING.md.  The layer composes, per call:
   (:mod:`repro.accel.watchdog`: the budget comparator is a property of
   the device; serving configures it through
   ``ServePolicy.watchdog_budget_cycles``);
-* hedged retries across tiles under the shared-uncore contention model
-  (:mod:`repro.serve.hedging`);
 * the :class:`~repro.serve.server.ResilientServer` tying them together
   over :mod:`repro.proto.rpc` services (:mod:`repro.serve.server`).
 """
@@ -40,7 +38,6 @@ from repro.serve.fabric import (
     ServingFabric,
     ShardState,
 )
-from repro.serve.hedging import HedgePolicy
 from repro.serve.parallel import (
     ParallelReplayResult,
     ShardResult,
@@ -108,7 +105,6 @@ __all__ = [
     "FsmWatchdog",
     "HealthMonitor",
     "HealthState",
-    "HedgePolicy",
     "Overloaded",
     "ParallelReplayResult",
     "REPLAY_SERVE_POLICY",

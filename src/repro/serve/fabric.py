@@ -53,9 +53,7 @@ from :meth:`ServingFabric.tick` at each arrival:
   draining shard; new arrivals whose *old-ring* home was the draining
   shard are served by their new owner and flagged ``migrated``, so the
   per-tenant identity ``shed + failed + succeeded + migrated ==
-  offered`` closes with nothing silently dropped.  A shard that stays
-  fully quarantined for ``ReshardPolicy.auto_evict_after_cycles`` is
-  evicted automatically.
+  offered`` closes with nothing silently dropped.
 * **Grow** -- :meth:`ServingFabric.add_shard` wires every tenant's
   schema and handlers onto a fresh shard, adds it to the ring via
   :meth:`~repro.serve.router.ConsistentHashRouter.with_shard`
@@ -120,10 +118,6 @@ class ReshardPolicy:
     warmup_initial_inflight: int = 1
     #: In-flight budget the ramp reaches at the end of the warm-up.
     warmup_target_inflight: int = 32
-    #: Auto-evict a shard that has been fully quarantined (every tile
-    #: breaker OPEN, none probe-ready) this long.  ``None`` disables
-    #: auto-eviction (the PR 6-compatible default).
-    auto_evict_after_cycles: float | None = None
 
     def __post_init__(self) -> None:
         if self.drain_cycles < 0:
@@ -140,11 +134,6 @@ class ReshardPolicy:
             raise FabricConfigError("warmup_target_inflight",
                                     self.warmup_target_inflight,
                                     "must be >= warmup_initial_inflight")
-        if (self.auto_evict_after_cycles is not None
-                and self.auto_evict_after_cycles < 0):
-            raise FabricConfigError("auto_evict_after_cycles",
-                                    self.auto_evict_after_cycles,
-                                    "must be >= 0 or None")
 
 
 @dataclass(frozen=True)
@@ -158,7 +147,7 @@ class FabricPolicy:
     router: RouterPolicy = field(default_factory=RouterPolicy)
     #: Budget applied to tenants registered without an explicit one.
     default_budget: TenantPolicy = field(default_factory=TenantPolicy)
-    #: Online-resharding knobs (drain window, warm-up ramp, auto-evict).
+    #: Online-resharding knobs (drain window, warm-up ramp).
     reshard: ReshardPolicy = field(default_factory=ReshardPolicy)
 
     def __post_init__(self) -> None:
@@ -173,7 +162,7 @@ class ReshardEvent:
 
     at: float
     #: "drain_start" | "shard_removed" | "shard_joined" |
-    #: "warmup_complete" | "auto_evict"
+    #: "warmup_complete"
     kind: str
     shard: int | None
     #: Ring epoch *after* the transition (epoch bumps on ring swaps).
@@ -255,11 +244,10 @@ class ServingFabric:
 
     Resharding is arrival-driven: :meth:`tick` runs at the top of every
     :meth:`call` and (a) finalizes drains whose window elapsed and
-    whose pending work hit zero, (b) promotes JOINING shards whose
-    warm-up elapsed, and (c) auto-evicts persistently quarantined
-    shards when the policy arms it.  With the default policy and no
-    explicit :meth:`drain`/:meth:`add_shard`, every tick is a no-op,
-    so a static fabric's replay bit-identity is untouched.
+    whose pending work hit zero, and (b) promotes JOINING shards whose
+    warm-up elapsed.  Without an explicit :meth:`drain`/:meth:`add_shard`,
+    every tick is a no-op, so a static fabric's replay bit-identity is
+    untouched.
     """
 
     def __init__(self, policy: FabricPolicy | None = None):
@@ -275,7 +263,6 @@ class ServingFabric:
         #: Structured lifecycle transitions, in simulated-clock order.
         self.reshard_events: list[ReshardEvent] = []
         self._drains: dict[int, _DrainState] = {}
-        self._quarantined_since: dict[int, float] = {}
         #: (tenant, primary_shard, fallback_shard) for every re-route.
         self.fallback_routes: list[tuple[str, int, int]] = []
         #: Calls deflected off a JOINING shard that was at its ramped
@@ -427,9 +414,6 @@ class ServingFabric:
                 - policy.warmup_initial_inflight)
         return policy.warmup_initial_inflight + int(frac * span)
 
-    def _routable(self) -> list[FabricShard]:
-        return [s for s in self.shards if s.state in ROUTABLE_STATES]
-
     # -- resharding: the clock --------------------------------------------------
 
     def tick(self, now: float) -> None:
@@ -449,22 +433,6 @@ class ServingFabric:
                     and now - shard.joined_at >= policy.warmup_cycles):
                 shard.state = ShardState.ACTIVE
                 self._log(now, "warmup_complete", shard.index)
-        if policy.auto_evict_after_cycles is None:
-            return
-        for shard in self.shards:
-            if shard.state not in ROUTABLE_STATES:
-                self._quarantined_since.pop(shard.index, None)
-                continue
-            view = shard.view(now)
-            if view.effective_tier() < 2:
-                self._quarantined_since.pop(shard.index, None)
-                continue
-            since = self._quarantined_since.setdefault(shard.index, now)
-            if (now - since >= policy.auto_evict_after_cycles
-                    and len(self._routable()) >= 2):
-                self._log(now, "auto_evict", shard.index,
-                          f"quarantined since cycle {since:.0f}")
-                self.drain(shard.index, now)
 
     # -- resharding: transitions ------------------------------------------------
 
@@ -480,7 +448,7 @@ class ServingFabric:
         if shard.state not in ROUTABLE_STATES:
             raise ValueError(f"cannot drain shard {shard_id} in state "
                              f"{shard.state.value}")
-        if len(self._routable()) < 2:
+        if sum(s.state in ROUTABLE_STATES for s in self.shards) < 2:
             raise ValueError("cannot drain the last routable shard")
         old_router = self.router
         self.router = old_router.without(shard_id)
@@ -491,7 +459,6 @@ class ServingFabric:
             shard=shard_id, started=now,
             window_ends=now + self.policy.reshard.drain_cycles,
             old_router=old_router)
-        self._quarantined_since.pop(shard_id, None)
         self._log(now, "drain_start", shard_id,
                   f"pending {shard.server.pending(now)}")
 

@@ -44,8 +44,10 @@ single-shard worker.  The worker instead serves on the owning shard and
 counts a ``route_deviation``; bit-identity is guaranteed whenever the
 merged deviation count is zero (always, on a fault-free replay).
 Resharding (drain/grow) is inherently cross-shard and stays on the
-serial path -- :func:`run_parallel_replay` refuses fabrics whose
-reshard machinery could fire.
+serial path: it fires only on an explicit
+:meth:`~repro.serve.fabric.ServingFabric.drain` or
+:meth:`~repro.serve.fabric.ServingFabric.add_shard`, which a parallel
+replay never calls.
 """
 
 from __future__ import annotations
@@ -290,10 +292,6 @@ def run_parallel_replay(spec: FleetReplaySpec,
     across many replays; it is not shut down here.
     """
     policy = policy or FabricPolicy()
-    if policy.reshard.auto_evict_after_cycles is not None:
-        raise ValueError(
-            "host-parallel replay needs a static fabric: auto-evict "
-            "resharding is cross-shard and must run serially")
     if calls is None:
         calls = generate_calls(spec)
     routing, slices = partition_calls(spec, policy, calls)

@@ -20,18 +20,15 @@ mechanisms in this package around the PR 1/PR 2 driver:
    tripped tiles stop receiving offloads until their half-open probe
    succeeds.  The derived :class:`~repro.serve.breaker.HealthMonitor`
    (HEALTHY/DEGRADED/BYPASSED) is surfaced per call and in reports.
-4. **Failover and hedging** -- a faulted attempt fails over to another
-   allowed tile while budget remains; optionally a slow primary is raced
-   by a hedge attempt on a second tile, with the shared-uncore stretch
-   from :meth:`~repro.soc.multitile.MultiTileModel.latency_stretch`
-   applied to the concurrent attempts.
+4. **Failover** -- a faulted attempt fails over to another allowed tile
+   while budget remains.
 5. **Host fallback, budget-gated** -- the BOOM software library serves
    the call only when its *precomputed* cost fits the remaining
    deadline (the simulator can price work before charging it), so the
    fallback can never blow the latency bound.
 
-**The bound** (docs/SERVING.md): with hedging disabled, every admitted
-call terminates -- response, structured error, or expiry -- within
+**The bound** (docs/SERVING.md): every admitted call terminates --
+response, structured error, or expiry -- within
 ``deadline + watchdog_budget`` cycles of arrival.  Every stage starts
 only while ``now < deadline``; accelerator stages are hard-capped at
 the watchdog budget; ``handler_cycles <= watchdog_budget`` is enforced
@@ -58,10 +55,8 @@ from repro.serve.breaker import (
     HealthState,
 )
 from repro.serve.errors import DeadlineExceeded, Overloaded, ShardDraining
-from repro.serve.hedging import HedgePolicy
 from repro.serve.queue import AdmissionPolicy, AdmissionQueue
 from repro.soc.config import SoCConfig
-from repro.soc.multitile import MultiTileModel
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,6 @@ class ServePolicy:
     tiles: int = 2
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    hedge: HedgePolicy = field(default_factory=HedgePolicy)
     #: Per-FSM-operation cycle cap (see repro.accel.watchdog).
     watchdog_budget_cycles: float = DEFAULT_BUDGET_CYCLES
     #: Application handler cost per call, charged between deser and ser.
@@ -83,8 +77,6 @@ class ServePolicy:
     max_attempts: int = 2
     #: Allow the budget-gated BOOM software fallback.
     host_fallback: bool = True
-    #: Shared-uncore contention model for concurrent hedged attempts.
-    contention: MultiTileModel | None = None
     #: Pure cycle charging: wrap every accelerator attempt in a
     #: device-state window (TLB flush + heap rollback; see
     #: ProtoAccelerator.begin_pure_call) so each call's cycles are a
@@ -119,12 +111,6 @@ class ServePolicy:
             raise ValueError(f"unknown transport {self.transport!r}; "
                              "expected 'rocc' or 'pcie'")
 
-    def hedge_stretch(self) -> float:
-        """Latency multiplier while two hedged attempts overlap."""
-        if self.contention is None:
-            return 1.0
-        return self.contention.latency_stretch(2)
-
 
 class Tile:
     """One accelerator device plus its serving-side guards."""
@@ -157,7 +143,6 @@ class CallOutcome:
     cpu_cycles: float = 0.0
     tile: int | None = None
     attempts: int = 0
-    hedged: bool = False
     host_fallback: bool = False
     error: RpcError | None = None
     response: bytes | None = None
@@ -201,12 +186,12 @@ class ServeStats:
     #: old-ring home; disjoint from ``succeeded`` by construction.
     migrated: int = 0
     failovers: int = 0
+    #: Always 0; kept only because perfbench's fleet workloads read it
+    #: as ``serve.hedges``.
     hedges: int = 0
-    hedge_wins: int = 0
     host_fallbacks: int = 0
     accel_cycles: float = 0.0
     cpu_cycles: float = 0.0
-    wasted_hedge_cycles: float = 0.0
     #: Arrival-to-termination latency of every admitted call.
     latencies: list = field(default_factory=list)
 
@@ -490,12 +475,6 @@ class ResilientServer:
             now = attempt.end
             self._record(tile, attempt, now)
             if attempt.ok or attempt.expired:
-                if attempt.ok and attempts == 1:
-                    hedged = self._maybe_hedge(
-                        attempt, tile, method, full, handler,
-                        request_bytes, begin, deadline, tried, outcome)
-                    if hedged is not None:
-                        attempt, now = hedged
                 outcome.tile = tile.index
                 return self._settle(outcome, attempt, full, deadline)
             if attempt.permanent:
@@ -549,11 +528,10 @@ class ResilientServer:
     # -- one accelerator attempt -----------------------------------------------
 
     def _attempt(self, tile: Tile, method, full: str, handler,
-                 request_bytes: bytes, begin: float, deadline: float,
-                 stretch: float = 1.0) -> _Attempt:
+                 request_bytes: bytes, begin: float,
+                 deadline: float) -> _Attempt:
         """Run deser -> handler -> ser on one tile, gating each stage
-        start on the deadline.  ``stretch`` models shared-uncore
-        contention while a hedge race is in flight.
+        start on the deadline.
 
         With ``policy.stateless_tiles`` the attempt runs inside a
         pure-charging device window: whatever the outcome (success,
@@ -562,19 +540,17 @@ class ResilientServer:
         which tile -- or which shard -- served the previous call."""
         if not self.policy.stateless_tiles:
             return self._run_attempt(tile, method, full, handler,
-                                     request_bytes, begin, deadline,
-                                     stretch)
+                                     request_bytes, begin, deadline)
         mark = tile.accel.begin_pure_call()
         try:
             return self._run_attempt(tile, method, full, handler,
-                                     request_bytes, begin, deadline,
-                                     stretch)
+                                     request_bytes, begin, deadline)
         finally:
             tile.accel.end_pure_call(mark)
 
     def _run_attempt(self, tile: Tile, method, full: str, handler,
-                     request_bytes: bytes, begin: float, deadline: float,
-                     stretch: float = 1.0) -> _Attempt:
+                     request_bytes: bytes, begin: float,
+                     deadline: float) -> _Attempt:
         accel = tile.accel
         now = begin
         charged = 0.0
@@ -583,7 +559,7 @@ class ResilientServer:
                                        request_bytes,
                                        auto_renew_arena=True)
         except AccelFault as fault:
-            cost = stretch * getattr(fault, "charged_cycles", fault.cycle)
+            cost = getattr(fault, "charged_cycles", fault.cycle)
             return _Attempt(end=now + cost, cycles=cost,
                             error=RpcError.wrap(fault, method=full),
                             permanent=not fault.injected)
@@ -591,8 +567,7 @@ class ResilientServer:
             return _Attempt(end=now, cycles=0.0,
                             error=RpcError.wrap(error, method=full),
                             permanent=True)
-        cost = stretch * (result.stats.cycles
-                          + result.stats.transport_cycles)
+        cost = result.stats.cycles + result.stats.transport_cycles
         now += cost
         charged += cost
         if now >= deadline:
@@ -616,54 +591,15 @@ class ResilientServer:
             addr = accel.load_object(response)
             ser = accel.serialize(method.output_descriptor, addr)
         except AccelFault as fault:
-            cost = stretch * getattr(fault, "charged_cycles", fault.cycle)
+            cost = getattr(fault, "charged_cycles", fault.cycle)
             return _Attempt(end=now + cost, cycles=charged + cost,
                             error=RpcError.wrap(fault, method=full),
                             permanent=not fault.injected)
-        cost = stretch * (ser.stats.cycles + ser.stats.transport_cycles)
+        cost = ser.stats.cycles + ser.stats.transport_cycles
         now += cost
         charged += cost
         accel.reset_arenas()  # request lifetime over; reclaim
         return _Attempt(end=now, cycles=charged, ok=True, data=ser.data)
-
-    # -- hedging ----------------------------------------------------------------
-
-    def _maybe_hedge(self, primary: _Attempt, primary_tile: Tile, method,
-                     full: str, handler, request_bytes: bytes,
-                     begin: float, deadline: float, tried: set[int],
-                     outcome: CallOutcome):
-        """Race a second tile against a slow (but successful) primary.
-
-        Returns ``(winning_attempt, now)`` or ``None`` when no hedge
-        fired.  Both attempts are charged; the overlap is stretched by
-        the shared-uncore contention model."""
-        policy = self.policy.hedge
-        if not policy.should_hedge(primary.cycles):
-            return None
-        fire_at = begin + policy.after_cycles
-        tile = self._pick_tile(fire_at, tried)
-        if tile is None:
-            return None
-        hedge_begin = max(fire_at, tile.free_at)
-        if hedge_begin >= deadline:
-            return None
-        self.stats.hedges += 1
-        outcome.hedged = True
-        tried.add(tile.index)
-        stretch = self.policy.hedge_stretch()
-        hedge = self._attempt(tile, method, full, handler, request_bytes,
-                              hedge_begin, deadline, stretch=stretch)
-        tile.free_at = hedge.end
-        outcome.accel_cycles += hedge.cycles
-        outcome.attempts += 1
-        self._record(tile, hedge, hedge.end)
-        if hedge.ok and hedge.end < primary.end:
-            self.stats.hedge_wins += 1
-            self.stats.wasted_hedge_cycles += primary.cycles
-            outcome.tile = tile.index
-            return hedge, hedge.end
-        self.stats.wasted_hedge_cycles += hedge.cycles
-        return primary, primary.end
 
     # -- host fallback ----------------------------------------------------------
 

@@ -128,7 +128,6 @@ def sweep_offered_load(interarrivals, spec: ServingWorkloadSpec,
             "p50_cycles": stats.p50_cycles,
             "p99_cycles": stats.p99_cycles,
             "host_fallbacks": stats.host_fallbacks,
-            "hedges": stats.hedges,
             "watchdog_aborts": server.watchdog_aborts,
             "health": server.health.state.value,
         })

@@ -18,8 +18,8 @@ class SystemBus:
     bytes_per_beat: int = 16
     read_beats: int = 0
     write_beats: int = 0
-    #: Stall ledger: transactions that timed out (fault injection or
-    #: contention) and the dead cycles the requester spent waiting.
+    #: Stall ledger: transactions that timed out (fault injection or a
+    #: busy bus) and the dead cycles the requester spent waiting.
     stalls: int = 0
     stall_cycles: float = 0.0
 

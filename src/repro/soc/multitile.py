@@ -10,8 +10,7 @@ Per tile, an operation moves ``beats`` bus beats over ``cycles`` cycles.
 N tiles demand ``N x beats/cycles`` beats per cycle; the shared bus
 delivers at most ``bus_beats_per_cycle`` (1.0 for the single 128-bit
 TileLink system bus; banked configurations raise it).  Below saturation
-tiles scale linearly; above it, the bus caps aggregate throughput and
-per-tile latency stretches by the utilisation ratio.
+tiles scale linearly; above it, the bus caps aggregate throughput.
 """
 
 from __future__ import annotations
@@ -109,21 +108,3 @@ class MultiTileModel:
     def per_tile_efficiency(self, tiles: int) -> float:
         """Fraction of a lone tile's throughput each tile retains."""
         return self.speedup(tiles) / tiles
-
-    def latency_stretch(self, active_tiles: int) -> float:
-        """Per-operation latency multiplier with N tiles active at once.
-
-        Below saturation the bus absorbs every tile's demand and latency
-        is unchanged (1.0).  Above it, each in-flight operation's memory
-        phase is served at ``capacity / demand`` of its solo rate, so
-        latency stretches by the utilisation ratio.  The serving layer
-        applies this to concurrent hedged attempts: racing a second tile
-        is only free while the shared uncore has headroom
-        (docs/SERVING.md).
-        """
-        if active_tiles < 1:
-            raise ValueError("need at least one active tile")
-        if self.bus_beats_per_cycle <= 0:
-            raise ValueError("bus capacity must be positive")
-        return max(1.0, self.bus_demand(active_tiles)
-                   / self.bus_beats_per_cycle)

@@ -1,8 +1,10 @@
 """The pieces the exact-gate runner (``scripts/bench_speed.py``) relies
-on: the transport sweep's crossover and amortisation reductions, and the
-record diff that names what changed."""
+on: the transport sweep's crossover and amortisation reductions, the
+record diff that names what changed, and the figures section's
+reversed-order rerun."""
 
 import copy
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -97,3 +99,35 @@ class TestRecordDiff:
         assert bench_speed.record_diff(RECORD, changed) == [
             "fleet.charging_digest: '0586bef1' -> '(absent)'",
             "fleet.extra: '(absent)' -> 1"]
+
+
+class TestFiguresSection:
+    def test_records_each_digest_and_perfbench_combined_one(
+            self, bench_speed, monkeypatch):
+        from repro.bench import figures
+        monkeypatch.setattr(figures, "ALL_FIGURES",
+                            {"a": lambda: "alpha", "b": lambda: "beta"})
+        errors = []
+        record = bench_speed.figures_section(errors)
+        assert errors == []
+        assert record["sha256"] == {
+            "a": hashlib.sha256(b"alpha").hexdigest(),
+            "b": hashlib.sha256(b"beta").hexdigest()}
+        assert record["figures_sha256"] == hashlib.sha256(
+            b"alpha\0beta").hexdigest()
+
+    def test_figure_that_depends_on_run_order_is_named(
+            self, bench_speed, monkeypatch):
+        from repro.bench import figures
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return f"run {len(calls)}"
+
+        monkeypatch.setattr(figures, "ALL_FIGURES",
+                            {"steady": lambda: "same", "counted": counted})
+        errors = []
+        bench_speed.figures_section(errors)
+        assert errors == ["figures: counted differs when the figures run "
+                          "in reversed order"]

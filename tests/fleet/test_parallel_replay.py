@@ -19,7 +19,6 @@ from repro.serve import (
     REPLAY_SERVE_POLICY,
     FabricPolicy,
     FleetReplaySpec,
-    ReshardPolicy,
     TenantPolicy,
     build_fleet_fabric,
     generate_calls,
@@ -134,14 +133,6 @@ def test_unmoved_tenant_signatures_match(serial, parallel):
     for tenant, _ in tenant_plan(_SPEC):
         assert (tenant_signature(parallel.outcomes, tenant)
                 == tenant_signature(serial_outcomes, tenant))
-
-
-def test_parallel_refuses_reshardable_fabric():
-    armed = FabricPolicy(
-        shards=2, serve=REPLAY_SERVE_POLICY,
-        reshard=ReshardPolicy(auto_evict_after_cycles=1_000.0))
-    with pytest.raises(ValueError, match="static fabric"):
-        run_parallel_replay(_SPEC, armed, jobs=2)
 
 
 def test_healths_cover_all_shards(parallel):

@@ -78,8 +78,6 @@ def test_reshard_policy_validation():
     with pytest.raises(FabricConfigError):
         ReshardPolicy(warmup_target_inflight=1,
                       warmup_initial_inflight=4)
-    with pytest.raises(FabricConfigError):
-        ReshardPolicy(auto_evict_after_cycles=-5.0)
 
 
 # -- drain ----------------------------------------------------------------------
@@ -292,45 +290,6 @@ def test_fully_quarantined_fleet_still_serves_via_primary():
                           at=now)
     assert outcome.shard == fabric.route(tenant)
     assert outcome.status in ("ok", "failed")
-
-
-# -- auto-evict ------------------------------------------------------------------
-
-
-def test_persistently_quarantined_shard_is_auto_evicted():
-    fabric = _build_fabric(
-        shards=2,
-        reshard=ReshardPolicy(auto_evict_after_cycles=30_000.0,
-                              drain_cycles=5_000.0))
-    sick = fabric.shards[1]
-    _trip_all_tiles(sick, at=0.0)
-
-    # First tick starts the quarantine clock; before the threshold the
-    # shard is still in the fleet.
-    fabric.tick(now=100.0)
-    fabric.tick(now=20_000.0)
-    assert sick.state is ShardState.ACTIVE
-
-    # Keep the breakers freshly tripped so no probe window opens while
-    # the quarantine clock runs past the threshold.
-    _trip_all_tiles(sick, at=25_000.0)
-    fabric.tick(now=31_000.0)
-    assert sick.state is ShardState.DRAINING
-    assert fabric.ring_epoch == 1
-    kinds = [e.kind for e in fabric.reshard_events]
-    assert kinds == ["auto_evict", "drain_start"]
-
-    fabric.tick(now=80_000.0)
-    assert sick.state is ShardState.REMOVED
-
-
-def test_healthy_fleet_never_auto_evicts():
-    fabric = _build_fabric(
-        shards=2, reshard=ReshardPolicy(auto_evict_after_cycles=1_000.0))
-    for now in (0.0, 5_000.0, 50_000.0, 500_000.0):
-        fabric.tick(now)
-    assert all(s.state is ShardState.ACTIVE for s in fabric.shards)
-    assert fabric.reshard_events == []
 
 
 def test_dropped_fabric_is_freed_by_reference_counting():

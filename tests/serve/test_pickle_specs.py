@@ -48,7 +48,7 @@ def roundtrip(value):
                  router=RouterPolicy(vnodes=16)),
     RouterPolicy(vnodes=32, seed=9),
     TenantPolicy(max_inflight=3),
-    ReshardPolicy(drain_cycles=10.0, auto_evict_after_cycles=5.0),
+    ReshardPolicy(drain_cycles=10.0, warmup_cycles=5.0),
     FleetReplaySpec(messages=10, tenants=3, workload="echo"),
 ], ids=lambda v: type(v).__name__)
 def test_policy_roundtrip(value):

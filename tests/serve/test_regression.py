@@ -98,5 +98,5 @@ def test_serving_layer_charges_exactly_the_driver_cycles():
     stats = server.stats
     assert stats.succeeded == len(payloads)
     assert stats.shed == stats.failed == 0
-    assert stats.host_fallbacks == stats.hedges == 0
+    assert stats.host_fallbacks == stats.failovers == 0
     assert server.watchdog_aborts == 0

@@ -13,7 +13,6 @@ from repro.faults import FaultPlan
 from repro.proto.decoder import parse_message
 from repro.serve import (
     AdmissionPolicy,
-    HedgePolicy,
     ServePolicy,
     ServingWorkloadSpec,
 )
@@ -127,44 +126,3 @@ def test_expired_calls_consume_no_accelerator_cycles_in_queue():
         assert isinstance(outcome.error, DeadlineExceeded)
         assert outcome.accel_cycles == 0.0
         assert outcome.latency_cycles <= 2_000.0 + 1e-9
-
-
-def test_hedging_races_a_second_tile():
-    """With an aggressive hedge trigger every successful call is raced;
-    the hedge accounting (hedges, wins, wasted cycles) stays coherent."""
-    policy = ServePolicy(
-        tiles=2,
-        hedge=HedgePolicy(enabled=True, after_cycles=0.0),
-        admission=AdmissionPolicy(deadline_cycles=None))
-    schema = echo_schema()
-    server = build_echo_server(policy, schema)
-    rng = random.Random(13)
-    spec = ServingWorkloadSpec()
-    now = 0.0
-    for _ in range(20):
-        now += 10_000.0
-        outcome = server.call(
-            "Repeat", make_request_bytes(schema, rng, spec), at=now)
-        assert outcome.ok
-        assert outcome.hedged
-        assert outcome.attempts == 2
-    stats = server.stats
-    assert stats.hedges == 20
-    assert stats.wasted_hedge_cycles > 0
-    assert stats.hedge_wins <= stats.hedges
-
-
-def test_hedge_stretch_comes_from_the_contention_model():
-    """Concurrent hedged attempts pay the shared-bus utilisation ratio
-    from the multi-tile model; with no model, hedging is free."""
-    import pytest
-
-    from repro.soc.multitile import MultiTileModel, TileWorkProfile
-
-    saturating = MultiTileModel(
-        TileWorkProfile(payload_bytes=1000, cycles=1000.0,
-                        bus_beats=800.0))
-    policy = ServePolicy(contention=saturating)
-    # Two active tiles demand 1.6 beats/cycle on a 1 beat/cycle bus.
-    assert policy.hedge_stretch() == pytest.approx(1.6)
-    assert ServePolicy().hedge_stretch() == 1.0

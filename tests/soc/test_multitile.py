@@ -56,18 +56,6 @@ class TestScaling:
         with pytest.raises(ValueError):
             MultiTileModel(light_profile).speedup(0)
 
-    def test_latency_unstretched_below_saturation(self, light_profile):
-        model = MultiTileModel(light_profile)
-        assert model.latency_stretch(1) == 1.0
-        assert model.latency_stretch(10) == pytest.approx(1.0)
-
-    def test_latency_stretches_by_utilisation_above(self, light_profile):
-        model = MultiTileModel(light_profile)
-        # 20 tiles demand 2 beats/cycle on a 1 beat/cycle bus.
-        assert model.latency_stretch(20) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            model.latency_stretch(0)
-
 
 class TestFromMeasurement:
     def test_integrates_with_accelerator_stats(self):
